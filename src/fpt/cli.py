@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .exact import format_rational
 from .markov import StochasticMatrix, first_passage_table, parse_matrix
-from .moments import moment_report, rth_passage_pgf, rth_passage_pmf
+from .moments import moment_report, rth_passage_pgf
 from .solver import solve_all_for_target, solve_pgf
 
 EXIT_OK = 0
@@ -157,13 +157,11 @@ def cmd_passage(args) -> int:
         raise ValueError("--terms must be >= 1")
     P = _load_matrix(args)
     rp = rth_passage_pgf(P, args.source, args.target, args.order)
-    pmf = rth_passage_pmf(P, args.source, args.target, args.order, args.terms)
     print(rp.pgf.render(decimal=args.decimal))
-    for k, v in enumerate(pmf.values, start=1):
+    for k, v in enumerate(rp.pmf(args.terms).values, start=1):
         print(f"{k} {_fmt(v, args.decimal)}")
-    first = solve_pgf(P, args.source, args.target)
-    if first.defective:
-        _warn_defective(args.source, args.target, first.reach_mass)
+    if rp.first.defective:
+        _warn_defective(args.source, args.target, rp.first.reach_mass)
         return EXIT_DEFECTIVE
     return EXIT_OK
 

@@ -12,18 +12,30 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Coeff = Union[Fraction, int, str]
 
+# Largest exponent magnitude accepted in a decimal string such as "4e-3":
+# Fraction("1e999999999") would first build an integer with a billion digits.
+MAX_DECIMAL_EXPONENT = 1000
+
 
 def as_fraction(x: Coeff) -> Fraction:
     """Coerce an int, Fraction, "p/q" string or decimal string to Fraction.
 
     Decimal strings are read exactly ("0.4" -> 2/5).  Floats are rejected:
     Fraction(0.4) would capture the binary approximation, which silently
-    breaks exactness.
+    breaks exactness.  A decimal exponent beyond MAX_DECIMAL_EXPONENT in
+    magnitude raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass a string, int or Fraction")
+    if isinstance(x, str):
+        _, e, exp = x.lower().rpartition("e")
+        digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (len(digits) > 6
+                                         or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"exponent of {x[:40]!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
     return Fraction(x)
 
 
@@ -153,10 +165,62 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
+# Prime modulus of the coprimality proof in poly_gcd (a Mersenne prime).
+GCD_PRIME = 2 ** 61 - 1
+
+
+def _mod_image(p: Polynomial) -> Optional[List[int]]:
+    """Coefficients of p reduced mod GCD_PRIME, or None when a denominator
+    is divisible by GCD_PRIME.
+
+    This is the image of p with its denominators cleared, up to a unit
+    factor, which changes no gcd degree; it never builds the cleared
+    integers.
+    """
+    out = []
+    for c in p.coeffs:
+        d = c.denominator % GCD_PRIME
+        if not d:
+            return None
+        out.append(c.numerator * pow(d, -1, GCD_PRIME) % GCD_PRIME)
+    return out
+
+
+def _coprime_mod_p(a: List[int], b: List[int]) -> bool:
+    """True when the images a, b (nonzero leading coefficients mod p) have a
+    constant gcd in GF(p)[z]."""
+    while len(b) > 1:
+        inv = pow(b[-1], -1, GCD_PRIME)
+        db = len(b) - 1
+        while len(a) >= len(b):
+            f = a[-1] * inv % GCD_PRIME
+            if f:
+                shift = len(a) - len(b)
+                for m in range(db):
+                    a[shift + m] = (a[shift + m] - f * b[m]) % GCD_PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
+    """Monic gcd over the rationals.
+
+    Coprime inputs, the common case, are proved coprime in GF(p)[z]: if a
+    and b reduce mod p without losing degree and their images there have a
+    constant gcd, so does the pair over Q (Brown 1971).  Otherwise the gcd
+    comes from the Euclidean algorithm over the rationals.
+    """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd undefined for two zero polynomials")
+    if a and b:
+        ia, ib = _mod_image(a), _mod_image(b)
+        if ia and ib and ia[-1] and ib[-1] and _coprime_mod_p(ia, ib):
+            return ONE
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
     return a.monic()
@@ -188,8 +252,11 @@ class RationalFunction:
         c0 = denominator.coeff(0)
         if c0 == 0:
             raise ValueError("non-expandable at z=0: denominator constant term is 0")
-        self.numerator = numerator * (1 / c0)
-        self.denominator = denominator * (1 / c0)
+        if c0 != 1:
+            numerator = numerator * (1 / c0)
+            denominator = denominator * (1 / c0)
+        self.numerator = numerator
+        self.denominator = denominator
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

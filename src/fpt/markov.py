@@ -19,6 +19,25 @@ from .exact import as_fraction, format_rational, solve_linear_system
 ONE = Fraction(1)
 
 
+def _items(x, what: str) -> tuple:
+    """The elements of a list-like x; a string, mapping or scalar raises."""
+    if not isinstance(x, (str, bytes, dict)):
+        try:
+            return tuple(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a list, not {type(x).__name__}")
+
+
+def _entry(e, idx: int, jdx: int) -> Fraction:
+    """Matrix entry (idx, jdx) as an exact rational.  Booleans, floats,
+    null and nested lists are not exact numbers and are rejected."""
+    if isinstance(e, bool) or not isinstance(e, (int, str, Fraction)):
+        raise ValueError(f"entry ({idx},{jdx}) = {e!r} is not an exact number "
+                         "(integer, fraction or decimal string)")
+    return as_fraction(e)
+
+
 class StochasticMatrix:
     """Validated n x n transition matrix with exact rational entries.
 
@@ -32,7 +51,9 @@ class StochasticMatrix:
 
     def __init__(self, rows: Iterable[Iterable], labels: Optional[Sequence[str]] = None,
                  normalize_rows: bool = False):
-        grid = [tuple(as_fraction(e) for e in row) for row in rows]
+        grid = [tuple(_entry(e, idx, jdx)
+                      for jdx, e in enumerate(_items(row, f"row {idx}"), start=1))
+                for idx, row in enumerate(_items(rows, "rows"), start=1)]
         n = len(grid)
         if n == 0:
             raise ValueError("empty matrix")
@@ -64,7 +85,7 @@ class StochasticMatrix:
                 if s != 1:
                     raise ValueError(f"row {idx} sums to {s}, expected 1")
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(str(x) for x in _items(labels, "labels"))
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
         self.n = n
@@ -121,7 +142,7 @@ def parse_matrix(text: str, fmt: str = "auto",
         return StochasticMatrix(rows, normalize_rows=normalize_rows)
     if fmt == "json":
         try:
-            obj = json.loads(text, parse_float=Fraction, parse_int=int)
+            obj = json.loads(text, parse_float=as_fraction, parse_int=int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON matrix: {exc}") from exc
         if isinstance(obj, list):
@@ -130,7 +151,7 @@ def parse_matrix(text: str, fmt: str = "auto",
             raise ValueError('JSON matrix must be {"n": ..., "rows": [[...]]}')
         m = StochasticMatrix(obj["rows"], labels=obj.get("labels"),
                              normalize_rows=normalize_rows)
-        if "n" in obj and obj["n"] != m.n:
+        if "n" in obj and (type(obj["n"]) is not int or obj["n"] != m.n):
             raise ValueError(f'declared n = {obj["n"]} but matrix has {m.n} rows')
         return m
     raise ValueError(f"unknown matrix format {fmt!r}")

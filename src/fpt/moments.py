@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .exact import RationalFunction, solve_linear_system
 from .markov import PmfPrefix, StochasticMatrix, reach_vector
-from .solver import solve_all_for_target
+from .solver import PassagePgf, solve_all_for_target
 
 
 @dataclass(frozen=True)
@@ -38,32 +38,34 @@ class MomentReport:
 
 @dataclass(frozen=True)
 class RthPassagePgf:
-    """PGF of the time of the r-th visit to target, starting from source."""
+    """PGF of the time of the r-th visit to target, starting from source.
+
+    first is the first-passage result from source to target that the PGF
+    is built from; it carries the reach mass and the defective flag.
+    """
     source: int
     target: int
     order: int
     pgf: RationalFunction
+    first: PassagePgf
+
+    def pmf(self, depth: int) -> PmfPrefix:
+        """P(r-th hit of target happens on step k) for k = 1..depth."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        values = tuple(self.pgf.series(depth + 1)[1:])
+        return PmfPrefix(source=self.source, target=self.target, values=values,
+                         mass=sum(values, Fraction(0)))
 
 
-def _certain_sources(P: StochasticMatrix, j: int):
-    """0-based non-target sources that hit j with probability 1.
+def _means(P: StochasticMatrix, j: int, h: List[Fraction]) -> List[Optional[Fraction]]:
+    """Mean passage times toward j, given the reach vector h of j.
 
-    This set is closed under non-target transitions: if i hits j almost
-    surely, so does every state i can step to without passing j.
+    The sources that hit j with probability 1 form a set closed under
+    non-target transitions: if i hits j almost surely, so does every state i
+    can step to without passing j.  Their means solve a system on that set.
     """
-    h = reach_vector(P, j)
     certain = [k for k in range(P.n) if k != j - 1 and h[k] == 1]
-    return certain, h
-
-
-def mean_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
-    """Mean passage times mu[i-1] = E(steps from i to first hit of j).
-
-    Sources that miss j with positive probability get None (infinite mean);
-    the j slot is the mean return time.
-    """
-    P.check_state(j)
-    certain, h = _certain_sources(P, j)
     pos = {k: a for a, k in enumerate(certain)}
     m = len(certain)
     rows = [[(Fraction(1) if a == b else Fraction(0)) - P.rows[certain[a]][certain[b]]
@@ -92,12 +94,10 @@ def mean_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
     return mu
 
 
-def second_factorial_moment(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
-    """s[i-1] = E(X(X-1)) for the passage time from i to j; None if infinite."""
-    P.check_state(j)
-    mu = mean_first_passage(P, j)
-    certain, h = _certain_sources(P, j)
-    certain = [k for k in certain if mu[k] is not None]
+def _second_factorial(P: StochasticMatrix, j: int, h: List[Fraction],
+                      mu: List[Optional[Fraction]]) -> List[Optional[Fraction]]:
+    """Second factorial moments toward j, given h and the means mu."""
+    certain = [k for k in range(P.n) if k != j - 1 and h[k] == 1 and mu[k] is not None]
     pos = {k: a for a, k in enumerate(certain)}
     m = len(certain)
     rows = [[(Fraction(1) if a == b else Fraction(0)) - P.rows[certain[a]][certain[b]]
@@ -128,17 +128,33 @@ def second_factorial_moment(P: StochasticMatrix, j: int) -> List[Optional[Fracti
     return s
 
 
+def mean_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
+    """Mean passage times mu[i-1] = E(steps from i to first hit of j).
+
+    Sources that miss j with positive probability get None (infinite mean);
+    the j slot is the mean return time.
+    """
+    P.check_state(j)
+    return _means(P, j, reach_vector(P, j))
+
+
+def second_factorial_moment(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
+    """s[i-1] = E(X(X-1)) for the passage time from i to j; None if infinite."""
+    P.check_state(j)
+    h = reach_vector(P, j)
+    return _second_factorial(P, j, h, _means(P, j, h))
+
+
 def variance_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
     """Var(X) = s + mu - mu^2, exact; None wherever a moment is infinite."""
-    mu = mean_first_passage(P, j)
-    s = second_factorial_moment(P, j)
-    return [None if (m is None or sk is None) else sk + m - m * m
-            for m, sk in zip(mu, s)]
+    return list(moment_report(P, j).variances)
 
 
 def moment_report(P: StochasticMatrix, j: int) -> MomentReport:
-    mu = mean_first_passage(P, j)
-    s = second_factorial_moment(P, j)
+    P.check_state(j)
+    h = reach_vector(P, j)
+    mu = _means(P, j, h)
+    s = _second_factorial(P, j, h, mu)
     var = [None if (m is None or sk is None) else sk + m - m * m
            for m, sk in zip(mu, s)]
     finite = tuple(m is not None and sk is not None for m, sk in zip(mu, s))
@@ -158,16 +174,10 @@ def rth_passage_pgf(P: StochasticMatrix, i: int, j: int, r: int) -> RthPassagePg
     pgf = pgfs[i].pgf
     if r > 1:
         pgf = pgf * pgfs[j].pgf ** (r - 1)
-    return RthPassagePgf(source=i, target=j, order=r, pgf=pgf)
+    return RthPassagePgf(source=i, target=j, order=r, pgf=pgf, first=pgfs[i])
 
 
 def rth_passage_pmf(P: StochasticMatrix, i: int, j: int, r: int,
                     depth: int) -> PmfPrefix:
     """P(r-th hit of j happens on step k) for k = 1..depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    rp = rth_passage_pgf(P, i, j, r)
-    coeffs = rp.pgf.series(depth + 1)
-    values = tuple(coeffs[1:])
-    return PmfPrefix(source=i, target=j, values=values,
-                     mass=sum(values, Fraction(0)))
+    return rth_passage_pgf(P, i, j, r).pmf(depth)

@@ -2,18 +2,27 @@
 
 For a fixed target j the unknowns are the generating functions from every
 other source, coupled by psi_i = z*p_ij + sum_{k != j} p_ik * z * psi_k.
-Rearranged, that is (I - zQ)psi = z*b where Q drops row/column j.  The
-system is solved fraction-free (Bareiss) over the polynomial ring, so every
-intermediate is an exact polynomial and the only division into the rational
-function field happens once at the end.
+Rearranged, that is (I - zQ)psi = z*b where Q drops row/column j.
+
+The system is solved over the integers.  With D the lcm of all entry
+denominators of P and A = D*P, the substitution w = z/D turns it into
+(I - wA_Q)psi = w*A_b, whose coefficients are integers.  Fraction-free
+(Bareiss) elimination then runs on integer coefficient lists: every pivot
+is a leading principal minor of I - wA, so its constant term is 1, and the
+exact division by the previous pivot runs from the low-degree end with no
+integer division at all.  Coefficient k of each result is divided by D^k
+once, at the end, and the single quotient is reduced to a canonical
+rational function; exact.poly_gcd proves most such pairs coprime mod a
+prime before falling back to Euclid over Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
-from .exact import ONE, ZERO, Polynomial, RationalFunction, exact_div
+from .exact import Polynomial, RationalFunction
 from .markov import StochasticMatrix, reach_vector
 
 
@@ -59,55 +68,117 @@ def build_system(P: StochasticMatrix, j: int) -> PgfSystem:
     return PgfSystem(target=j, sources=sources, matrix=tuple(matrix), rhs=rhs)
 
 
-def _bareiss_solve(system: PgfSystem) -> Tuple[List[Polynomial], Polynomial]:
-    """Fraction-free Gauss-Jordan elimination on the augmented system.
+def _trim(cs: List[int]) -> List[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
-    Returns (numerators, det): unknown a equals numerators[a] / det.  No
-    pivoting is needed: the pivot at step k is the k-th leading principal
-    minor of I - zQ, which has constant term 1 and is therefore nonzero.
-    All interior divisions are exact polynomial divisions.
+
+def _cross(p: List[int], x: List[int], q: List[int], y: List[int]) -> List[int]:
+    """Coefficients of p*x - q*y for integer coefficient lists."""
+    out = [0] * max(len(p) + len(x), len(q) + len(y), 1)
+    for i, c in enumerate(p):
+        if c:
+            for k, d in enumerate(x, i):
+                out[k] += c * d
+    for i, c in enumerate(q):
+        if c:
+            for k, d in enumerate(y, i):
+                out[k] -= c * d
+    return _trim(out)
+
+
+def _div_unit_constant(a: List[int], b: List[int]) -> List[int]:
+    """Exact quotient a / b where b has constant term 1.
+
+    The quotient comes from the low-degree end as a power series, so no
+    integer division happens; the high-degree coefficients of a then have to
+    match b * quotient, or the division was not exact.
     """
-    m = len(system.sources)
-    aug = [list(system.matrix[r]) + [system.rhs[r]] for r in range(m)]
-    prev = ONE
+    if not a:
+        return a
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        raise ArithmeticError("inexact polynomial division")
+    q = []
+    for i in range(dq + 1):
+        c = a[i]
+        for m in range(1, min(i, db) + 1):
+            c -= b[m] * q[i - m]
+        q.append(c)
+    for i in range(dq + 1, len(a)):
+        c = a[i]
+        for m in range(i - dq, min(i, db) + 1):
+            c -= b[m] * q[i - m]
+        if c:
+            raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _bareiss(aug: List[List[List[int]]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z[w], in place.
+
+    aug is the m x (m+1) augmented system (I - wA | rhs) as coefficient
+    lists.  Returns (numerators, det): unknown a equals numerators[a] / det.
+    No pivoting is needed: the pivot at step k is the k-th leading principal
+    minor of I - wA, which has constant term 1 and is therefore nonzero, and
+    every division by the previous pivot is exact.  Columns left of the
+    pivot are not updated: they hold only zeros and copies of the pivot.
+    """
+    m = len(aug)
+    prev = [1]
     for k in range(m):
-        piv = aug[k][k]
+        top = aug[k]
+        piv = top[k]
         for r in range(m):
             if r == k:
                 continue
-            ark = aug[r][k]
-            for c in range(m + 1):
-                if c == k:
-                    continue
-                aug[r][c] = exact_div(piv * aug[r][c] - ark * aug[k][c], prev)
-            aug[r][k] = ZERO
+            row = aug[r]
+            ark = row[k]
+            for c in range(k + 1, m + 1):
+                row[c] = _div_unit_constant(_cross(piv, row[c], ark, top[c]), prev)
         prev = piv
-    det = prev if m else ONE
-    return [aug[r][m] for r in range(m)], det
+    return [row[m] for row in aug], prev
+
+
+def _to_z(cs: List[int], D: int) -> Polynomial:
+    """Undo w = z/D: coefficient k of a polynomial in w is divided by D^k."""
+    return Polynomial([Fraction(c, D ** k) for k, c in enumerate(cs)])
 
 
 def solve_all_for_target(P: StochasticMatrix, j: int) -> Dict[int, PassagePgf]:
     """One elimination yields the passage PGFs from every source to j.
 
-    The return-time PGF (source = j) is recovered by substituting the
-    solved functions back into the target's own one-step equation
-    psi_jj = z*p_jj + sum_{k != j} p_jk * z * psi_kj, which keeps the
-    eliminated system at size n-1.
+    The elimination runs in w = z/D over the integers (see the module
+    docstring).  The return-time PGF (source = j) is recovered in the same
+    w domain by substituting the solved functions back into the target's
+    own one-step equation psi_jj = z*p_jj + sum_{k != j} p_jk * z * psi_kj,
+    which keeps the eliminated system at size n-1.  Each result is mapped
+    back to z once, at the end.
     """
-    system = build_system(P, j)
-    nums, det = _bareiss_solve(system)
+    P.check_state(j)
+    jj = j - 1
+    D = lcm(*(e.denominator for row in P.rows for e in row))
+    A = [[e.numerator * (D // e.denominator) for e in row] for row in P.rows]
+    others = [k for k in range(P.n) if k != jj]
+    aug = [[_trim([int(r == c), -A[r][c]]) for c in others] + [_trim([0, A[r][jj]])]
+           for r in others]
+    nums, det = _bareiss(aug)
+    # w*(A_jj*det + sum_k A_jk*nums_k) is the return-time numerator over det
+    ret = [0] * (max(map(len, nums + [det])) + 1)
+    for weight, cs in zip([A[jj][jj]] + [A[jj][k] for k in others], [det] + nums):
+        if weight:
+            for i, c in enumerate(cs, 1):
+                ret[i] += weight * c
+    _trim(ret)
     h = reach_vector(P, j)
+    den = _to_z(det, D)
     out: Dict[int, PassagePgf] = {}
-    for a, s in enumerate(system.sources):
-        rf = RationalFunction(nums[a], det)
-        out[s] = PassagePgf(source=s, target=j, pgf=rf,
-                            reach_mass=h[s - 1], defective=h[s - 1] < 1)
-    ret_num = Polynomial([0, P.rows[j - 1][j - 1]]) * det
-    for a, s in enumerate(system.sources):
-        ret_num = ret_num + Polynomial([0, P.rows[j - 1][s - 1]]) * nums[a]
-    out[j] = PassagePgf(source=j, target=j,
-                        pgf=RationalFunction(ret_num, det),
-                        reach_mass=h[j - 1], defective=h[j - 1] < 1)
+    for k, cs in zip(others + [jj], nums + [ret]):
+        out[k + 1] = PassagePgf(source=k + 1, target=j,
+                                pgf=RationalFunction(_to_z(cs, D), den),
+                                reach_mass=h[k], defective=h[k] < 1)
     return out
 
 

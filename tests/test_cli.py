@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import fpt.cli as cli
+import fpt.moments as moments
+import fpt.solver as solver
 from fpt import RationalFunction
 from fpt.exact import Polynomial
 
@@ -86,6 +88,29 @@ class TestPassageCommand:
         assert lines[0] == "(0.04*z^2 + 0.12*z^3) / (1 - 1.2*z + 0.36*z^2)"
         assert lines[1:] == ["1 0", "2 0.04", "3 0.168", "4 0.1872", "5 0.16416"]
 
+    def test_defective_passage_warns_but_prints(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0\n0.5,0.5\n")
+        assert run(["passage", "--matrix", str(path), "--from", "1", "--to", "2",
+                    "--order", "2", "--terms", "2"]) == cli.EXIT_DEFECTIVE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["(0) / (1)", "1 0", "2 0"]
+        assert "probability 0 < 1" in captured.err
+
+    def test_system_is_solved_once(self, paper_file, monkeypatch):
+        calls = []
+        real = solver.solve_all_for_target
+
+        def counted(P, j):
+            calls.append(j)
+            return real(P, j)
+
+        for module in (cli, moments, solver):
+            monkeypatch.setattr(module, "solve_all_for_target", counted)
+        assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",
+                    "--order", "3"]) == 0
+        assert calls == [3]
+
     def test_bad_order(self, paper_file):
         assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",
                     "--order", "0"]) == cli.EXIT_PARSE_ERROR
@@ -161,3 +186,29 @@ class TestErrorsAndOptions:
         assert run(["series", "--matrix", str(path), "--from", "2",
                     "--to", "1", "--terms", "2"]) == 0
         assert capsys.readouterr().out == "1 1\n2 0\n"
+
+
+class TestBadMatrixInput:
+    """Malformed matrix files exit with EXIT_PARSE_ERROR, never a traceback
+    or exit 1 (which belongs to `check`)."""
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param('{"rows": [[null]]}', "not an exact number", id="null-entry"),
+        pytest.param('{"rows": 5}', "rows must be a list", id="rows-not-list"),
+        pytest.param('{"rows": [["1"]], "labels": 7}', "labels must be a list",
+                     id="labels-not-list"),
+        pytest.param('{"rows": [[true]]}', "not an exact number", id="true-entry"),
+        pytest.param('{"rows": [[0.5, 0.5], [false, true]]}', "not an exact number",
+                     id="false-entry"),
+        pytest.param('{"rows": [[0.5, 0.5], [1, 0]], "labels": "ab"}',
+                     "labels must be a list", id="labels-string"),
+        pytest.param('{"n": true, "rows": [[1]]}', "declared n", id="n-true"),
+        pytest.param('{"rows": [[1e999999999]]}', "exponent", id="json-huge-exponent"),
+        pytest.param("1e-999999999,1\n0,1\n", "exponent", id="csv-huge-exponent"),
+    ])
+    def test_exits_with_parse_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert run(["pgf", "--matrix", str(path), "--from", "1", "--to", "1"]) \
+            == cli.EXIT_PARSE_ERROR
+        assert message in capsys.readouterr().err

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpt import (Polynomial, RationalFunction, as_fraction, exact_div,
                  format_rational, poly_gcd)
-from fpt.exact import ONE, Z, ZERO, decimal_string, solve_linear_system
+from fpt.exact import (GCD_PRIME, MAX_DECIMAL_EXPONENT, ONE, Z, ZERO,
+                       decimal_string, solve_linear_system)
 
 from conftest import (PSI13_DEN, PSI13_NUM, fresh_rng, random_fraction,
                       random_polynomial)
@@ -32,6 +33,13 @@ class TestFractionCoercion:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             as_fraction(0.4)
+
+    def test_exponent_beyond_cap_rejected(self):
+        assert as_fraction(f"1e-{MAX_DECIMAL_EXPONENT}") == F(1, 10 ** MAX_DECIMAL_EXPONENT)
+        for text in (f"1e{MAX_DECIMAL_EXPONENT + 1}", "2.5E-999999999",
+                     "1e+1_000_000", "1e" + "9" * 50):
+            with pytest.raises(ValueError, match="exponent"):
+                as_fraction(text)
 
 
 class TestPolynomial:
@@ -122,6 +130,36 @@ class TestPolyGcd:
             for p in (a, b):
                 if not p.is_zero():
                     assert divmod(p, d)[1].is_zero()
+
+
+def euclid_gcd(a, b):
+    """Reference: monic gcd by the plain Euclidean algorithm over Q."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+gcd_factors_st = st.lists(fractions_st, min_size=1, max_size=4).map(Polynomial)
+
+
+class TestPolyGcdAgainstEuclid:
+    """poly_gcd proves most coprime pairs mod GCD_PRIME and runs Euclid on
+    the rest; both paths must agree with plain Euclid over Q."""
+
+    @given(polys_st, polys_st, gcd_factors_st, st.booleans(), st.booleans())
+    @example(Z, Z + poly(GCD_PRIME), ONE, False, False)  # coprime, not mod p
+    @example(poly(1, 1), poly(2, 1), ONE, True, False)
+    @example(poly(2, 1), poly(3, 1), poly(1, GCD_PRIME), True, False)  # factor vanishes mod p
+    @example(poly(1, F(1, GCD_PRIME)), poly(2, 1), ONE, False, False)  # denominator p
+    @settings(max_examples=200, deadline=None)
+    def test_matches_euclid(self, a, b, g, share, lead_divisible):
+        if share:
+            a, b = a * g, b * g
+        if lead_divisible and a:
+            a = Polynomial(a.coeffs[:-1] + (a.coeffs[-1] * GCD_PRIME,))
+        if a.is_zero() and b.is_zero():
+            return
+        assert poly_gcd(a, b) == euclid_gcd(a, b)
 
 
 class TestRationalFunctionNormalization:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import fpt.moments as moments
 from fpt import (RationalFunction, StochasticMatrix, first_passage_pmf_oracle,
                  first_passage_table, mean_first_passage, moment_report,
                  rth_passage_pgf, rth_passage_pmf, second_factorial_moment,
@@ -115,6 +116,20 @@ class TestSecondFactorialAndVariance:
         assert rep.finite == (True, True, True)
         for m, s, v in zip(rep.means, rep.second_factorial, rep.variances):
             assert v == s + m - m * m
+
+    def test_report_computes_reach_vector_once(self, paper_chain, monkeypatch):
+        calls = []
+        real = moments.reach_vector
+
+        def counted(P, j):
+            calls.append(j)
+            return real(P, j)
+
+        monkeypatch.setattr(moments, "reach_vector", counted)
+        rep = moment_report(paper_chain, 3)
+        assert calls == [3]
+        assert list(rep.means) == mean_first_passage(paper_chain, 3)
+        assert list(rep.second_factorial) == second_factorial_moment(paper_chain, 3)
 
     def test_infinite_flags_for_defective_target(self):
         m = StochasticMatrix([[1, 0], ["0.5", "0.5"]])

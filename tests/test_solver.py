@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpt import (Polynomial, RationalFunction, StochasticMatrix, build_system,
                  first_passage_table, pgf_3state_closed_form,
@@ -130,6 +132,70 @@ class TestSolvePgf:
             solve_pgf(paper_chain, 4, 1)
         with pytest.raises(IndexError):
             solve_pgf(paper_chain, 1, 0)
+
+
+# pairwise coprime, so the lcm D of a chain's entry denominators is large
+ROW_DENOMINATORS = (7, 9, 11, 13, 16, 17, 19)
+
+
+@st.composite
+def coprime_denominator_chains(draw):
+    """Chains of 1..7 states whose row r has entries in multiples of
+    1/ROW_DENOMINATORS[r], spread over a random support so that sparse,
+    reducible chains are common."""
+    n = draw(st.integers(1, len(ROW_DENOMINATORS)))
+    rows = []
+    for den in ROW_DENOMINATORS[:n]:
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=len(support) - 1,
+                                    max_size=len(support) - 1)))
+        row = [F(0)] * n
+        for k, lo, hi in zip(support, [0] + cuts, cuts + [den]):
+            row[k] += F(hi - lo, den)
+        rows.append(row)
+    return StochasticMatrix(rows)
+
+
+class TestIntegerKernel:
+    def test_inexact_division_detected(self):
+        from fpt.solver import _div_unit_constant
+        assert _div_unit_constant([1, 3, 2], [1, 1]) == [1, 2]
+        # divisor of higher degree than the quotient
+        assert _div_unit_constant([0, 2, 2, 2, 2], [1, 1, 1, 1]) == [0, 2]
+        for a in ([1, 3, 3], [1, 2], [5]):
+            with pytest.raises(ArithmeticError, match="inexact"):
+                _div_unit_constant(a, [1, 1])
+
+    def test_pivot_degree_drop(self):
+        # a sparse 10-state chain whose target-4 elimination divides by a
+        # pivot of higher degree than the quotient
+        m = StochasticMatrix([row.split(",") for row in (
+            "0,2/17,2/17,0,4/17,0,2/17,3/17,3/17,1/17",
+            "6/25,0,0,0,1/5,2/25,0,1/25,1/5,6/25",
+            "1/7,5/28,1/28,3/28,1/7,0,1/28,1/14,3/28,5/28",
+            "1/36,1/6,1/9,1/18,1/9,1/6,1/18,1/9,1/36,1/6",
+            "4/33,1/33,1/33,2/11,2/33,2/11,1/33,2/11,1/11,1/11",
+            "1/8,3/20,1/20,1/10,1/8,1/20,3/20,1/40,1/8,1/10",
+            "4/33,0,4/33,0,2/33,5/33,1/11,4/33,5/33,2/11",
+            "4/37,6/37,1/37,6/37,4/37,4/37,2/37,5/37,0,5/37",
+            "1/5,1/25,0,0,1/25,1/25,3/25,2/25,6/25,6/25",
+            "1/30,1/30,1/30,1/5,1/6,2/15,1/6,1/30,0,1/5")])
+        K = 15
+        table = first_passage_table(m, 4, K)
+        pgfs = solve_all_for_target(m, 4)
+        for i in range(1, m.n + 1):
+            assert pgfs[i].pgf.series(K + 1)[1:] == [table[k][i - 1] for k in range(K)]
+
+    @given(coprime_denominator_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_series_equals_oracle_with_large_lcm(self, m):
+        K = 12
+        for j in range(1, m.n + 1):
+            table = first_passage_table(m, j, K)
+            pgfs = solve_all_for_target(m, j)
+            for i in range(1, m.n + 1):
+                series = pgfs[i].pgf.series(K + 1)
+                assert series[1:] == [table[k][i - 1] for k in range(K)]
 
 
 class TestClosedForm:
