@@ -13,8 +13,8 @@ from .markov import (PmfPrefix, StochasticMatrix, first_passage_pmf_oracle,
 from .moments import (MomentReport, RthPassagePgf, mean_first_passage,
                       moment_report, rth_passage_pgf, rth_passage_pmf,
                       second_factorial_moment, variance_first_passage)
-from .solver import (PassagePgf, PgfSystem, build_system,
-                     pgf_3state_closed_form, solve_all_for_target, solve_pgf)
+from .solver import (PassagePgf, PgfSystem, build_system, solve_all_for_target,
+                     solve_pgf)
 
 __all__ = [
     "Polynomial", "RationalFunction", "as_fraction", "exact_div",
@@ -25,8 +25,8 @@ __all__ = [
     "MomentReport", "RthPassagePgf", "mean_first_passage", "moment_report",
     "rth_passage_pgf", "rth_passage_pmf", "second_factorial_moment",
     "variance_first_passage",
-    "PassagePgf", "PgfSystem", "build_system", "pgf_3state_closed_form",
-    "solve_all_for_target", "solve_pgf",
+    "PassagePgf", "PgfSystem", "build_system", "solve_all_for_target",
+    "solve_pgf",
 ]
 
 __version__ = "0.1.0"

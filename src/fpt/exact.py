@@ -1,13 +1,18 @@
-"""Exact arithmetic: rationals, dense polynomials in z, rational functions.
+"""Exact arithmetic: rationals, dense polynomials in z, rational functions,
+and the library's one linear-system kernel.
 
-Everything is built on fractions.Fraction and is bit-exact; no floats appear
-anywhere on the computational path.  All values are immutable after
+Everything is built on fractions.Fraction and Python integers and is
+bit-exact; no floats appear anywhere on the computational path.  Every
+linear system, the first-passage systems over Z[w] and the rational systems
+at z = 1 alike, goes through one fraction-free Bareiss elimination on
+integer coefficient lists.  All values are immutable after
 construction and every operation is a pure function, so concurrent use is
 safe without locking.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Coeff = Union[Fraction, int, str]
@@ -396,29 +401,107 @@ def _poly_text(p: Polynomial, decimal: bool) -> str:
     return " ".join(parts)
 
 
+def _trim(cs: List[int]) -> List[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _cross(p: List[int], x: List[int], q: List[int], y: List[int]) -> List[int]:
+    """Coefficients of p*x - q*y for integer coefficient lists."""
+    out = [0] * max(len(p) + len(x), len(q) + len(y), 1)
+    for i, c in enumerate(p):
+        if c:
+            for k, d in enumerate(x, i):
+                out[k] += c * d
+    for i, c in enumerate(q):
+        if c:
+            for k, d in enumerate(y, i):
+                out[k] -= c * d
+    return _trim(out)
+
+
+def _div_exact(a: List[int], b: List[int]) -> List[int]:
+    """Exact quotient a / b of integer coefficient lists; b[0] must be nonzero.
+
+    The quotient comes from the low-degree end as a power series.  When b[0]
+    is 1, as for every pivot of a first-passage system in w, no integer
+    division happens at all; otherwise each quotient coefficient is an exact
+    divmod by b[0].  The high-degree coefficients of a then have to match
+    b * quotient, or the division was not exact.
+    """
+    if not a:
+        return a
+    b0 = b[0]
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        raise ArithmeticError("inexact polynomial division")
+    q = []
+    for i in range(dq + 1):
+        c = a[i]
+        for m in range(1, min(i, db) + 1):
+            c -= b[m] * q[i - m]
+        if b0 != 1:
+            c, r = divmod(c, b0)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+        q.append(c)
+    for i in range(dq + 1, len(a)):
+        c = a[i]
+        for m in range(i - dq, min(i, db) + 1):
+            c -= b[m] * q[i - m]
+        if c:
+            raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _bareiss(aug: List[List[List[int]]]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination over Z[w], in place.
+
+    aug is an m x (m+1) augmented system of trimmed integer coefficient
+    lists.  Returns (numerators, det): unknown a equals numerators[a] / det,
+    where det is the determinant up to the sign of the row swaps.  The pivot
+    at step k is the first row at or below k with a nonzero entry in column
+    k.  Every division by the previous pivot is exact (Bareiss 1968); it
+    needs a nonzero constant term, which every nonzero pivot has on a
+    constant system.  For I - wA row k always qualifies, because its pivot
+    is the k-th leading principal minor, whose constant term is 1.  Columns
+    left of the pivot are not updated: they hold only zeros and copies of
+    the pivot.  Raises ArithmeticError on a singular system.
+    """
+    m = len(aug)
+    prev = [1]
+    for k in range(m):
+        swap = next((r for r in range(k, m) if aug[r][k]), None)
+        if swap is None:
+            raise ArithmeticError("singular linear system")
+        aug[k], aug[swap] = aug[swap], aug[k]
+        top = aug[k]
+        piv = top[k]
+        for r in range(m):
+            if r == k:
+                continue
+            row = aug[r]
+            ark = row[k]
+            for c in range(k + 1, m + 1):
+                row[c] = _div_exact(_cross(piv, row[c], ark, top[c]), prev)
+        prev = piv
+    return [row[m] for row in aug], prev
+
+
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],
                         rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Exact Gaussian elimination with partial pivoting over Fraction.
+    """Exact solution of rows * x = rhs by the integer Bareiss kernel.
 
-    Raises ArithmeticError on a singular matrix.
+    Each equation is scaled by the lcm of its denominators, and the integer
+    system is eliminated fraction-free with row pivoting.  Raises
+    ArithmeticError on a singular matrix.
     """
-    m = len(rows)
-    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
-    for k in range(m):
-        piv = next((r for r in range(k, m) if aug[r][k] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular linear system")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k][k]
-        for r in range(k + 1, m):
-            f = aug[r][k] / pk
-            if f == 0:
-                continue
-            for c in range(k, m + 1):
-                aug[r][c] -= f * aug[k][c]
-    sol = [Fraction(0)] * m
-    for k in range(m - 1, -1, -1):
-        s = aug[k][m] - sum(aug[k][c] * sol[c] for c in range(k + 1, m))
-        sol[k] = s / aug[k][k]
-    return sol
+    aug = []
+    for row, b in zip(rows, rhs):
+        eq = [*row, b]
+        d = lcm(*(e.denominator for e in eq))
+        aug.append([_trim([e.numerator * (d // e.denominator)]) for e in eq])
+    nums, det = _bareiss(aug)
+    return [Fraction(num[0], det[0]) if num else Fraction(0) for num in nums]

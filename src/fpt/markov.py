@@ -16,9 +16,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exact import as_fraction, format_rational, solve_linear_system
 
-ONE = Fraction(1)
-
-
 def _items(x, what: str) -> tuple:
     """The elements of a list-like x; a string, mapping or scalar raises."""
     if not isinstance(x, (str, bytes, dict)):
@@ -228,29 +225,38 @@ def _states_reaching(P: StochasticMatrix, jj: int) -> set:
     return seen
 
 
+def first_step_solve(P: StochasticMatrix, jj: int, states: Sequence[int],
+                     c: Sequence[Fraction]) -> List[Fraction]:
+    """Solve the first-step equations x_i = c_i + sum_{k in S} p_ik * x_k.
+
+    S is the 0-based state list `states`, which must not contain the 0-based
+    target jj, and I - Q_S must be nonsingular.  c is indexed by 0-based
+    state; only its entries on S and at jj are read.  The result holds the
+    solution on S, the same equation evaluated at the target, x_jj, and 0
+    everywhere else.
+    """
+    rows = [[-P.rows[i][k] for k in states] for i in states]
+    for a, row in enumerate(rows):
+        row[a] += 1
+    x = [Fraction(0)] * P.n
+    for k, v in zip(states, solve_linear_system(rows, [c[i] for i in states])):
+        x[k] = v
+    x[jj] = c[jj] + sum((P.rows[jj][k] * x[k] for k in states), Fraction(0))
+    return x
+
+
 def reach_vector(P: StochasticMatrix, j: int) -> List[Fraction]:
     """h[i-1] = probability that state j is ever hit from state i.
 
     For i = j this is the return probability.  Computed as the minimal
     nonnegative solution of h_i = p_{ij} + sum_{k != j} p_{ik} h_k, with
-    h = 0 on states that cannot reach j.
+    h = 0 on states that cannot reach j; on the states that can, I - Q is
+    nonsingular.
     """
     P.check_state(j)
     jj = j - 1
-    reaching = _states_reaching(P, jj)
-    unknowns = sorted(k for k in reaching if k != jj)
-    pos = {k: a for a, k in enumerate(unknowns)}
-    m = len(unknowns)
-    rows = [[(ONE if a == b else Fraction(0)) - P.rows[unknowns[a]][unknowns[b]]
-             for b in range(m)] for a in range(m)]
-    rhs = [P.rows[k][jj] for k in unknowns]
-    sol = solve_linear_system(rows, rhs) if m else []
-    h = [Fraction(0)] * P.n
-    for k, a in pos.items():
-        h[k] = sol[a]
-    h[jj] = P.rows[jj][jj] + sum(
-        (P.rows[jj][k] * h[k] for k in range(P.n) if k != jj), Fraction(0))
-    return h
+    reaching = sorted(k for k in _states_reaching(P, jj) if k != jj)
+    return first_step_solve(P, jj, reaching, [row[jj] for row in P.rows])
 
 
 def reach_probability(P: StochasticMatrix, i: int, j: int) -> Fraction:

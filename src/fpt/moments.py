@@ -4,9 +4,11 @@ laws as products of passage and return PGFs.
 Differentiating the one-step system once and setting z = 1 gives
 mu_i = 1 + sum_{k != j} p_ik * mu_k; differentiating twice gives
 s_i = sum_{k != j} p_ik * (2*mu_k + s_k) for the second factorial moment
-s = E(X(X-1)).  Solving these small rational systems avoids ever forming
-the PGF, which is the cheap route; the PGF-derivative route is kept as an
-independent cross-check in the tests.
+s = E(X(X-1)).  Both are first-step systems on the same matrix I - Q as
+the reach probabilities, with other right-hand sides, and all three go
+through markov.first_step_solve and the one exact elimination kernel.
+Solving them avoids ever forming the PGF, which is the cheap route; the
+PGF-derivative route is kept as an independent cross-check in the tests.
 
 Infinite moments (target not reached with certainty) are reported by an
 explicit flag, never a sentinel number.
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exact import RationalFunction, solve_linear_system
-from .markov import PmfPrefix, StochasticMatrix, reach_vector
+from .exact import RationalFunction
+from .markov import PmfPrefix, StochasticMatrix, first_step_solve, reach_vector
 from .solver import PassagePgf, solve_all_for_target
 
 
@@ -58,74 +60,27 @@ class RthPassagePgf:
                          mass=sum(values, Fraction(0)))
 
 
-def _means(P: StochasticMatrix, j: int, h: List[Fraction]) -> List[Optional[Fraction]]:
-    """Mean passage times toward j, given the reach vector h of j.
+def _moments(P: StochasticMatrix, j: int, h: List[Fraction]
+             ) -> Tuple[List[Optional[Fraction]], List[Optional[Fraction]]]:
+    """Means and second factorial moments toward j, given its reach vector h.
 
-    The sources that hit j with probability 1 form a set closed under
+    The sources S that hit j with probability 1 form a set closed under
     non-target transitions: if i hits j almost surely, so does every state i
-    can step to without passing j.  Their means solve a system on that set.
+    can step to without passing j.  So I - Q_S is nonsingular, and both
+    moment systems live on S, with c = 1 for the means mu and c = 2(mu - 1)
+    = 2 * sum_k p_ik * mu_k for the second factorial moments.  The return
+    slot is finite exactly when h_j = 1, which puts every state j steps to
+    in S as well.  Moments are None everywhere else.
     """
-    certain = [k for k in range(P.n) if k != j - 1 and h[k] == 1]
-    pos = {k: a for a, k in enumerate(certain)}
-    m = len(certain)
-    rows = [[(Fraction(1) if a == b else Fraction(0)) - P.rows[certain[a]][certain[b]]
-             for b in range(m)] for a in range(m)]
-    try:
-        sol = solve_linear_system(rows, [Fraction(1)] * m) if m else []
-    except ArithmeticError:
-        sol = None
-    mu: List[Optional[Fraction]] = [None] * P.n
-    if sol is not None:
-        for k, a in pos.items():
-            mu[k] = sol[a]
-        jj = j - 1
-        if h[jj] == 1:
-            acc = Fraction(1)
-            ok = True
-            for k in range(P.n):
-                if k == jj or P.rows[jj][k] == 0:
-                    continue
-                if mu[k] is None:
-                    ok = False
-                    break
-                acc += P.rows[jj][k] * mu[k]
-            if ok:
-                mu[jj] = acc
-    return mu
-
-
-def _second_factorial(P: StochasticMatrix, j: int, h: List[Fraction],
-                      mu: List[Optional[Fraction]]) -> List[Optional[Fraction]]:
-    """Second factorial moments toward j, given h and the means mu."""
-    certain = [k for k in range(P.n) if k != j - 1 and h[k] == 1 and mu[k] is not None]
-    pos = {k: a for a, k in enumerate(certain)}
-    m = len(certain)
-    rows = [[(Fraction(1) if a == b else Fraction(0)) - P.rows[certain[a]][certain[b]]
-             for b in range(m)] for a in range(m)]
-    rhs = [sum((P.rows[k][l] * 2 * mu[l] for l in certain), Fraction(0))
-           for k in certain]
-    try:
-        sol = solve_linear_system(rows, rhs) if m else []
-    except ArithmeticError:
-        sol = None
-    s: List[Optional[Fraction]] = [None] * P.n
-    if sol is not None:
-        for k, a in pos.items():
-            s[k] = sol[a]
-        jj = j - 1
-        if h[jj] == 1 and mu[jj] is not None:
-            acc = Fraction(0)
-            ok = True
-            for k in range(P.n):
-                if k == jj or P.rows[jj][k] == 0:
-                    continue
-                if mu[k] is None or s[k] is None:
-                    ok = False
-                    break
-                acc += P.rows[jj][k] * (2 * mu[k] + s[k])
-            if ok:
-                s[jj] = acc
-    return s
+    jj = j - 1
+    certain = [k for k in range(P.n) if k != jj and h[k] == 1]
+    mu = first_step_solve(P, jj, certain, [Fraction(1)] * P.n)
+    s = first_step_solve(P, jj, certain, [2 * (m - 1) for m in mu])
+    finite = set(certain)
+    if h[jj] == 1:
+        finite.add(jj)
+    return ([m if k in finite else None for k, m in enumerate(mu)],
+            [v if k in finite else None for k, v in enumerate(s)])
 
 
 def mean_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
@@ -135,14 +90,13 @@ def mean_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
     the j slot is the mean return time.
     """
     P.check_state(j)
-    return _means(P, j, reach_vector(P, j))
+    return _moments(P, j, reach_vector(P, j))[0]
 
 
 def second_factorial_moment(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
     """s[i-1] = E(X(X-1)) for the passage time from i to j; None if infinite."""
     P.check_state(j)
-    h = reach_vector(P, j)
-    return _second_factorial(P, j, h, _means(P, j, h))
+    return _moments(P, j, reach_vector(P, j))[1]
 
 
 def variance_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fraction]]:
@@ -152,12 +106,9 @@ def variance_first_passage(P: StochasticMatrix, j: int) -> List[Optional[Fractio
 
 def moment_report(P: StochasticMatrix, j: int) -> MomentReport:
     P.check_state(j)
-    h = reach_vector(P, j)
-    mu = _means(P, j, h)
-    s = _second_factorial(P, j, h, mu)
-    var = [None if (m is None or sk is None) else sk + m - m * m
-           for m, sk in zip(mu, s)]
-    finite = tuple(m is not None and sk is not None for m, sk in zip(mu, s))
+    mu, s = _moments(P, j, reach_vector(P, j))
+    var = [None if m is None else sk + m - m * m for m, sk in zip(mu, s)]
+    finite = tuple(m is not None for m in mu)
     return MomentReport(target=j, means=tuple(mu), second_factorial=tuple(s),
                         variances=tuple(var), finite=finite)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fpt import Polynomial, RationalFunction, StochasticMatrix
+from fpt import PassagePgf, Polynomial, RationalFunction, StochasticMatrix, reach_vector
 
 PAPER_CSV = ".2,.4,.4\n.3,.3,.4\n.5,.4,.1\n"
 
@@ -62,3 +62,29 @@ def random_irreducible(rng, n):
 
 def fresh_rng(seed):
     return random.Random(seed)
+
+
+def pgf_3state_closed_form(P, i, j):
+    """Direct 3-state closed form, used as an independent cross-check.
+
+    For a 3-state chain with (i, j) relabeled to (1, 3) and the remaining
+    state as 2, the PGF is
+        (p13*z + (p12*p23 - p13*p22)*z^2)
+        / (1 - (p11 + p22)*z + (p11*p22 - p12*p21)*z^2).
+    Only i != j is covered.
+    """
+    if P.n != 3:
+        raise ValueError("closed form requires exactly 3 states")
+    P.check_state(i)
+    P.check_state(j)
+    if i == j:
+        raise ValueError("closed form covers only i != j")
+    mid = next(s for s in (1, 2, 3) if s not in (i, j))
+    p = lambda a, b: P.rows[a - 1][b - 1]
+    p11, p12, p13 = p(i, i), p(i, mid), p(i, j)
+    p21, p22, p23 = p(mid, i), p(mid, mid), p(mid, j)
+    num = Polynomial([0, p13, p12 * p23 - p13 * p22])
+    den = Polynomial([1, -(p11 + p22), p11 * p22 - p12 * p21])
+    h = reach_vector(P, j)[i - 1]
+    return PassagePgf(source=i, target=j, pgf=RationalFunction(num, den),
+                      reach_mass=h, defective=h < 1)

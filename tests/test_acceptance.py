@@ -10,11 +10,11 @@ from fractions import Fraction
 
 from fpt import (RationalFunction, StochasticMatrix, first_passage_pmf_oracle,
                  first_passage_table, mean_first_passage, moment_report,
-                 pgf_3state_closed_form, rth_passage_pmf,
-                 solve_all_for_target, solve_pgf, variance_first_passage)
+                 rth_passage_pmf, solve_all_for_target, solve_pgf,
+                 variance_first_passage)
 from fpt.exact import Polynomial
 
-from conftest import PSI13_DEN, PSI13_NUM, PSI33_NUM
+from conftest import PSI13_DEN, PSI13_NUM, PSI33_NUM, pgf_3state_closed_form
 
 F = Fraction
 

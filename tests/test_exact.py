@@ -334,3 +334,72 @@ class TestLinearSolve:
     def test_pivoting_handles_zero_leading_entry(self):
         sol = solve_linear_system([[F(0), F(1)], [F(1), F(0)]], [F(4), F(9)])
         assert sol == [F(9), F(4)]
+
+
+def reference_solve(rows, rhs):
+    """Gaussian elimination with partial pivoting over Fraction, kept as
+    the reference for the integer Bareiss kernel of solve_linear_system."""
+    m = len(rows)
+    aug = [list(rows[r]) + [rhs[r]] for r in range(m)]
+    for k in range(m):
+        piv = next((r for r in range(k, m) if aug[r][k] != 0), None)
+        if piv is None:
+            raise ArithmeticError("singular linear system")
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+        pk = aug[k][k]
+        for r in range(k + 1, m):
+            f = aug[r][k] / pk
+            if f == 0:
+                continue
+            for c in range(k, m + 1):
+                aug[r][c] -= f * aug[k][c]
+    sol = [Fraction(0)] * m
+    for k in range(m - 1, -1, -1):
+        s = aug[k][m] - sum(aug[k][c] * sol[c] for c in range(k + 1, m))
+        sol[k] = s / aug[k][k]
+    return sol
+
+
+entries_st = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9,
+                                                   max_denominator=12))
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs, singular): an m x m system, m = 1..6, with independent
+    denominators per entry and zero entries.  Half the draws zero the
+    leading entry, which forces a row swap; when singular is drawn the last
+    row is a combination of the others."""
+    m = draw(st.integers(1, 6))
+    vec = st.lists(entries_st, min_size=m, max_size=m)
+    rows = draw(st.lists(vec, min_size=m, max_size=m))
+    rhs = draw(vec)
+    if draw(st.booleans()):
+        rows[0][0] = F(0)
+    singular = draw(st.booleans())
+    if singular:
+        coefs = draw(st.lists(entries_st, min_size=m - 1, max_size=m - 1))
+        rows[-1] = [sum((c * r[k] for c, r in zip(coefs, rows)), F(0))
+                    for k in range(m)]
+    return rows, rhs, singular
+
+
+class TestLinearSolveAgainstReference:
+    @given(linear_systems())
+    # row swap at step 0, then a negative pivot
+    @example(([[F(0), F(1, 2), F(-1)], [F(-3, 4), F(0), F(2)],
+               [F(1, 3), F(1), F(0)]], [F(1), F(-2, 7), F(5, 3)], False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_elimination(self, system):
+        rows, rhs, singular = system
+        try:
+            want = reference_solve(rows, rhs)
+        except ArithmeticError:
+            want = None
+        assert want is None or not singular
+        if want is None:
+            with pytest.raises(ArithmeticError, match="singular"):
+                solve_linear_system(rows, rhs)
+        else:
+            assert solve_linear_system(rows, rhs) == want

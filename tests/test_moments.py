@@ -5,11 +5,13 @@ import pytest
 import fpt.moments as moments
 from fpt import (RationalFunction, StochasticMatrix, first_passage_pmf_oracle,
                  first_passage_table, mean_first_passage, moment_report,
-                 rth_passage_pgf, rth_passage_pmf, second_factorial_moment,
-                 solve_all_for_target, solve_pgf, variance_first_passage)
+                 reach_vector, rth_passage_pgf, rth_passage_pmf,
+                 second_factorial_moment, solve_all_for_target, solve_pgf,
+                 variance_first_passage)
 from fpt.exact import Polynomial
 
-from conftest import PSI13_DEN, PSI13_NUM, PSI33_NUM, fresh_rng, random_irreducible
+from conftest import (PSI13_DEN, PSI13_NUM, PSI33_NUM, fresh_rng, random_irreducible,
+                      random_stochastic)
 
 F = Fraction
 
@@ -56,6 +58,30 @@ class TestMeans:
                 pmf = first_passage_pmf_oracle(m, 1, j, K)
                 partial = sum(k * v for k, v in enumerate(pmf.values, start=1))
                 assert partial <= mu[0] <= partial + mean_tail
+
+    def test_reducible_chains_match_pgf_at_one(self):
+        # sparse chains, half with one state made absorbing: most pairs are
+        # defective there, so the finite flags and the return slot are hit
+        rng = fresh_rng(73)
+        for t in range(16):
+            m = random_stochastic(rng, rng.randint(2, 5))
+            if t % 2:
+                a = rng.randrange(m.n)
+                rows = [list(row) for row in m.rows]
+                rows[a] = [F(int(k == a)) for k in range(m.n)]
+                m = StochasticMatrix(rows)
+            for j in range(1, m.n + 1):
+                h = reach_vector(m, j)
+                rep = moment_report(m, j)
+                pgfs = solve_all_for_target(m, j)
+                for i in range(1, m.n + 1):
+                    pgf = pgfs[i].pgf
+                    assert h[i - 1] == pgf.eval(1)
+                    assert rep.finite[i - 1] == (h[i - 1] == 1)
+                    if rep.finite[i - 1]:
+                        d1 = pgf.derivative()
+                        assert rep.means[i - 1] == d1.eval(1)
+                        assert rep.second_factorial[i - 1] == d1.derivative().eval(1)
 
     def test_all_finite_means_at_least_one(self):
         rng = fresh_rng(67)

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpt import (Polynomial, RationalFunction, StochasticMatrix, build_system,
-                 first_passage_table, pgf_3state_closed_form,
-                 solve_all_for_target, solve_pgf)
-from conftest import fresh_rng, random_stochastic
+                 first_passage_table, solve_all_for_target, solve_pgf)
+from conftest import fresh_rng, pgf_3state_closed_form, random_stochastic
 
 F = Fraction
 
@@ -158,13 +157,21 @@ def coprime_denominator_chains(draw):
 
 class TestIntegerKernel:
     def test_inexact_division_detected(self):
-        from fpt.solver import _div_unit_constant
-        assert _div_unit_constant([1, 3, 2], [1, 1]) == [1, 2]
+        from fpt.exact import _div_exact
+        assert _div_exact([1, 3, 2], [1, 1]) == [1, 2]
         # divisor of higher degree than the quotient
-        assert _div_unit_constant([0, 2, 2, 2, 2], [1, 1, 1, 1]) == [0, 2]
+        assert _div_exact([0, 2, 2, 2, 2], [1, 1, 1, 1]) == [0, 2]
         for a in ([1, 3, 3], [1, 2], [5]):
             with pytest.raises(ArithmeticError, match="inexact"):
-                _div_unit_constant(a, [1, 1])
+                _div_exact(a, [1, 1])
+
+    def test_division_by_non_unit_constant_term(self):
+        from fpt.exact import _div_exact
+        assert _div_exact([6], [3]) == [2]
+        assert _div_exact([2, 6, 4], [2, 2]) == [1, 2]
+        assert _div_exact([-6, -3, 3], [-2, 1]) == [3, 3]
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _div_exact([7], [3])
 
     def test_pivot_degree_drop(self):
         # a sparse 10-state chain whose target-4 elimination divides by a
