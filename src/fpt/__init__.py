@@ -14,7 +14,7 @@ from .moments import (MomentReport, RthPassagePgf, mean_first_passage,
                       moment_report, rth_passage_pgf, rth_passage_pmf,
                       second_factorial_moment, variance_first_passage)
 from .solver import (PassagePgf, PgfSystem, build_system, solve_all_for_target,
-                     solve_pgf)
+                     solve_pair, solve_pgf)
 
 __all__ = [
     "Polynomial", "RationalFunction", "as_fraction", "exact_div",
@@ -26,7 +26,7 @@ __all__ = [
     "rth_passage_pgf", "rth_passage_pmf", "second_factorial_moment",
     "variance_first_passage",
     "PassagePgf", "PgfSystem", "build_system", "solve_all_for_target",
-    "solve_pgf",
+    "solve_pair", "solve_pgf",
 ]
 
 __version__ = "0.1.0"

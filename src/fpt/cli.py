@@ -97,8 +97,9 @@ def _load_matrix(args) -> StochasticMatrix:
     return m
 
 
-def _warn_defective(source: int, target: int, mass: Fraction) -> None:
-    print(f"warning: target {target} is reached from {source} with "
+def _warn_defective(source: int, target: int, mass: Fraction, order: int = 1) -> None:
+    times = "" if order == 1 else f" {order} times"
+    print(f"warning: target {target} is reached{times} from {source} with "
           f"probability {mass} < 1; the law is defective", file=sys.stderr)
 
 
@@ -160,8 +161,8 @@ def cmd_passage(args) -> int:
     print(rp.pgf.render(decimal=args.decimal))
     for k, v in enumerate(rp.pmf(args.terms).values, start=1):
         print(f"{k} {_fmt(v, args.decimal)}")
-    if rp.first.defective:
-        _warn_defective(args.source, args.target, rp.first.reach_mass)
+    if rp.defective:
+        _warn_defective(args.source, args.target, rp.mass, args.order)
         return EXIT_DEFECTIVE
     return EXIT_OK
 

@@ -106,16 +106,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             s = as_fraction(other)
             return Polynomial([c * s for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+        # convolve the denominator-cleared integers: one Fraction per result
+        # coefficient instead of one per term
+        (a, da), (b, db) = self._integers(), other._integers()
+        d = da * db
+        return Polynomial([Fraction(c, d) for c in _cross(a, b, [], [])])
+
+    def _integers(self) -> Tuple[List[int], int]:
+        """(integer coefficients, d) with self = integers / d, d the lcm of
+        the coefficient denominators."""
+        d = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     def __rmul__(self, other: Coeff) -> "Polynomial":
         return self.__mul__(other)
@@ -168,6 +171,18 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     if not r.is_zero():
         raise ArithmeticError("inexact polynomial division")
     return q
+
+
+def _poly_pow(p: Polynomial, k: int) -> Polynomial:
+    """p^k by repeated squaring."""
+    out = ONE
+    while k:
+        if k & 1:
+            out = out * p
+        k >>= 1
+        if k:
+            p = p * p
+    return out
 
 
 # Prime modulus of the coprimality proof in poly_gcd (a Mersenne prime).
@@ -289,13 +304,25 @@ class RationalFunction:
         return RationalFunction(self.numerator * other.numerator,
                                 self.denominator * other.denominator)
 
+    @classmethod
+    def _canonical(cls, numerator: Polynomial,
+                   denominator: Polynomial) -> "RationalFunction":
+        """Wrap a pair already known to be canonical, with no gcd."""
+        out = object.__new__(cls)
+        out.numerator = numerator
+        out.denominator = denominator
+        return out
+
     def __pow__(self, k: int) -> "RationalFunction":
+        """k-th power by binary powering of numerator and denominator.
+
+        N^k / D^k needs no reduction: gcd(N, D) = 1 gives gcd(N^k, D^k) = 1,
+        and D(0) = 1 gives D^k(0) = 1.
+        """
         if k < 0:
             raise ValueError("negative powers not supported")
-        out = RationalFunction(ONE)
-        for _ in range(k):
-            out = out * self
-        return out
+        return RationalFunction._canonical(_poly_pow(self.numerator, k),
+                                           _poly_pow(self.denominator, k))
 
     def derivative(self) -> "RationalFunction":
         """Quotient-rule derivative, re-canonicalized."""
@@ -456,19 +483,27 @@ def _div_exact(a: List[int], b: List[int]) -> List[int]:
     return q
 
 
-def _bareiss(aug: List[List[List[int]]]) -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss-Jordan elimination over Z[w], in place.
+def _bareiss(aug: List[List[List[int]]],
+             forward: bool = False) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free elimination over Z[w], in place (Bareiss 1968).
 
-    aug is an m x (m+1) augmented system of trimmed integer coefficient
-    lists.  Returns (numerators, det): unknown a equals numerators[a] / det,
-    where det is the determinant up to the sign of the row swaps.  The pivot
-    at step k is the first row at or below k with a nonzero entry in column
-    k.  Every division by the previous pivot is exact (Bareiss 1968); it
-    needs a nonzero constant term, which every nonzero pivot has on a
-    constant system.  For I - wA row k always qualifies, because its pivot
+    aug is an m-row matrix of trimmed integer coefficient lists, with at
+    least m columns.  The pivot at step k is the first row at or below k with
+    a nonzero entry in column k.  Every division by the previous pivot is
+    exact; it needs a nonzero constant term, which every nonzero pivot has on
+    a constant system.  For I - wA row k always qualifies, because its pivot
     is the k-th leading principal minor, whose constant term is 1.  Columns
     left of the pivot are not updated: they hold only zeros and copies of
     the pivot.  Raises ArithmeticError on a singular system.
+
+    By default this is Gauss-Jordan on an m x (m+1) augmented system: every
+    row is updated at every step, and unknown a equals last_column[a] / det,
+    with det the determinant up to the sign of the row swaps.  With forward
+    set only the rows below each pivot are updated, which is all a caller
+    needing one unknown pays for: aug[k][k] is then the (k+1)-th leading
+    principal minor and aug[k][c], c > k, the same minor with column k
+    replaced by column c.  Either way the result is (last_column, det), det
+    being the last pivot.
     """
     m = len(aug)
     prev = [1]
@@ -479,15 +514,15 @@ def _bareiss(aug: List[List[List[int]]]) -> Tuple[List[List[int]], List[int]]:
         aug[k], aug[swap] = aug[swap], aug[k]
         top = aug[k]
         piv = top[k]
-        for r in range(m):
+        for r in range(k + 1 if forward else 0, m):
             if r == k:
                 continue
             row = aug[r]
             ark = row[k]
-            for c in range(k + 1, m + 1):
+            for c in range(k + 1, len(top)):
                 row[c] = _div_exact(_cross(piv, row[c], ark, top[c]), prev)
         prev = piv
-    return [row[m] for row in aug], prev
+    return [row[-1] for row in aug], prev
 
 
 def solve_linear_system(rows: Sequence[Sequence[Fraction]],

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 from .exact import RationalFunction
 from .markov import PmfPrefix, StochasticMatrix, first_step_solve, reach_vector
-from .solver import PassagePgf, solve_all_for_target
+from .solver import PassagePgf, solve_pair
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,27 @@ class MomentReport:
 class RthPassagePgf:
     """PGF of the time of the r-th visit to target, starting from source.
 
-    first is the first-passage result from source to target that the PGF
-    is built from; it carries the reach mass and the defective flag.
+    first is the first-passage result from source to target and ret the
+    return-time result of target (None at order 1); the PGF is built from
+    them, and so are the mass of the law and its defective flag.
     """
     source: int
     target: int
     order: int
     pgf: RationalFunction
     first: PassagePgf
+    ret: Optional[PassagePgf] = None
+
+    @property
+    def mass(self) -> Fraction:
+        """Probability that the r-th visit ever happens: h_ij * h_jj^(r-1)."""
+        if self.ret is None:
+            return self.first.reach_mass
+        return self.first.reach_mass * self.ret.reach_mass ** (self.order - 1)
+
+    @property
+    def defective(self) -> bool:
+        return self.mass < 1
 
     def pmf(self, depth: int) -> PmfPrefix:
         """P(r-th hit of target happens on step k) for k = 1..depth."""
@@ -120,12 +133,11 @@ def rth_passage_pgf(P: StochasticMatrix, i: int, j: int, r: int) -> RthPassagePg
     """
     if r < 1:
         raise ValueError("order must be >= 1")
-    pgfs = solve_all_for_target(P, j)
-    P.check_state(i)
-    pgf = pgfs[i].pgf
+    first, ret = solve_pair(P, i, j, with_return=r > 1)
+    pgf = first.pgf
     if r > 1:
-        pgf = pgf * pgfs[j].pgf ** (r - 1)
-    return RthPassagePgf(source=i, target=j, order=r, pgf=pgf, first=pgfs[i])
+        pgf = pgf * ret.pgf ** (r - 1)
+    return RthPassagePgf(source=i, target=j, order=r, pgf=pgf, first=first, ret=ret)
 
 
 def rth_passage_pmf(P: StochasticMatrix, i: int, j: int, r: int,

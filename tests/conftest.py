@@ -88,3 +88,26 @@ def pgf_3state_closed_form(P, i, j):
     h = reach_vector(P, j)[i - 1]
     return PassagePgf(source=i, target=j, pgf=RationalFunction(num, den),
                       reach_mass=h, defective=h < 1)
+
+
+def rth_passage_oracle(P, i, j, r, depth):
+    """P(the r-th visit to j, starting from i, happens at step k) for
+    k = 1..depth, by a step recurrence over (state, visits so far).  The
+    start at i does not count as a visit.  Independent of the PGF solver."""
+    jj = j - 1
+    dist = {(i - 1, 0): Fraction(1)}
+    out = []
+    for _ in range(depth):
+        new, hit = {}, Fraction(0)
+        for (s, v), mass in dist.items():
+            for t, p in enumerate(P.rows[s]):
+                if not p:
+                    continue
+                w = v + (t == jj)
+                if w == r:
+                    hit += mass * p
+                else:
+                    new[t, w] = new.get((t, w), Fraction(0)) + mass * p
+        dist = new
+        out.append(hit)
+    return out

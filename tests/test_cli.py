@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import fpt.cli as cli
+import fpt.exact as exact
 import fpt.moments as moments
 import fpt.solver as solver
 from fpt import RationalFunction
@@ -98,18 +99,37 @@ class TestPassageCommand:
         assert "probability 0 < 1" in captured.err
 
     def test_system_is_solved_once(self, paper_file, monkeypatch):
-        calls = []
-        real = solver.solve_all_for_target
+        pairs, eliminations = [], []
+        real_pair, real_kernel = solver.solve_pair, exact._bareiss
 
-        def counted(P, j):
-            calls.append(j)
-            return real(P, j)
+        def counted_pair(P, i, j, **kw):
+            pairs.append((i, j))
+            return real_pair(P, i, j, **kw)
 
-        for module in (cli, moments, solver):
-            monkeypatch.setattr(module, "solve_all_for_target", counted)
+        def counted_kernel(aug, forward=False):
+            eliminations.append((len(aug), forward))
+            return real_kernel(aug, forward)
+
+        monkeypatch.setattr(moments, "solve_pair", counted_pair)
+        for module in (exact, solver):
+            monkeypatch.setattr(module, "_bareiss", counted_kernel)
         assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",
                     "--order", "3"]) == 0
-        assert calls == [3]
+        # one pair solve: one forward elimination of the 3 x 3 matrix I - wA
+        assert pairs == [(1, 3)]
+        assert eliminations == [(3, True)]
+
+    def test_impossible_return_makes_the_law_defective(self, tmp_path, capsys):
+        # 1 reaches 2 surely in one step, but 2 never returns to itself
+        path = tmp_path / "c.csv"
+        path.write_text("0,1,0\n0,0,1\n0,0,1\n")
+        assert run(["passage", "--matrix", str(path), "--from", "1", "--to", "2",
+                    "--order", "2", "--terms", "2"]) == cli.EXIT_DEFECTIVE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["(0) / (1)", "1 0", "2 0"]
+        assert "reached 2 times from 1 with probability 0 < 1" in captured.err
+        assert run(["passage", "--matrix", str(path), "--from", "1", "--to", "2",
+                    "--order", "1", "--terms", "2"]) == 0
 
     def test_bad_order(self, paper_file):
         assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",

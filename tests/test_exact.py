@@ -5,12 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpt import (Polynomial, RationalFunction, as_fraction, exact_div,
-                 format_rational, poly_gcd)
+                 format_rational, poly_gcd, solve_pgf)
 from fpt.exact import (GCD_PRIME, MAX_DECIMAL_EXPONENT, ONE, Z, ZERO,
                        decimal_string, solve_linear_system)
 
 from conftest import (PSI13_DEN, PSI13_NUM, fresh_rng, random_fraction,
-                      random_polynomial)
+                      random_polynomial, random_stochastic)
 
 F = Fraction
 
@@ -198,6 +198,30 @@ class TestRationalFunctionNormalization:
             if b.is_zero() or q.is_zero() or q.coeff(0) == 0 or b.coeff(0) == 0:
                 continue
             assert RationalFunction(a * q, b * q) == RationalFunction(a, b)
+
+
+class TestPower:
+    def test_power_equals_repeated_product(self):
+        # random canonical quotients and passage PGFs of random chains,
+        # the zero function included
+        rng = fresh_rng(89)
+        fs = [RationalFunction(ZERO), RationalFunction(ONE)]
+        while len(fs) < 14:
+            a, b = random_polynomial(rng), random_polynomial(rng, max_degree=3)
+            if b.coeff(0) != 0:
+                fs.append(RationalFunction(a, b))
+        for _ in range(6):
+            m = random_stochastic(rng, rng.randint(1, 4))
+            fs.append(solve_pgf(m, rng.randint(1, m.n), rng.randint(1, m.n)).pgf)
+        for f in fs:
+            product = RationalFunction(ONE)
+            for k in range(7):
+                assert f ** k == product
+                product = product * f
+
+    def test_negative_power_rejected(self, psi13):
+        with pytest.raises(ValueError, match="negative"):
+            psi13 ** -1
 
 
 class TestSeries:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from fpt import (RationalFunction, StochasticMatrix, first_passage_pmf_oracle,
 from fpt.exact import Polynomial
 
 from conftest import (PSI13_DEN, PSI13_NUM, PSI33_NUM, fresh_rng, random_irreducible,
-                      random_stochastic)
+                      random_stochastic, rth_passage_oracle)
 
 F = Fraction
 
@@ -233,6 +234,42 @@ class TestRthPassage:
             pmf = rth_passage_pmf(m, 1, m.n, rng.randint(1, 3), 20)
             for v in pmf.values:
                 assert v >= 0
+
+    def test_high_order_matches_visit_recurrence(self, paper_chain):
+        # order 200: the pmf starts at step 200, so check 20 steps past it
+        rng = fresh_rng(97)
+        K = 220
+        for m, i, j in ((paper_chain, 1, 3), (random_irreducible(rng, 3), 2, 1)):
+            start = time.perf_counter()
+            values = rth_passage_pmf(m, i, j, 200, K).values
+            assert time.perf_counter() - start < 10
+            assert list(values) == rth_passage_oracle(m, i, j, 200, K)
+            assert values[198] == 0 and values[199] > 0
+
+    def test_law_mass_is_product_of_reach_masses(self):
+        # reducible chains, half with one state made absorbing, where the
+        # return to j can fail even when the first passage to j cannot
+        rng = fresh_rng(101)
+        chains = [StochasticMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 1]])]
+        for t in range(16):
+            m = random_stochastic(rng, rng.randint(2, 4))
+            if t % 2:
+                a = rng.randrange(m.n)
+                rows = [list(row) for row in m.rows]
+                rows[a] = [F(int(k == a)) for k in range(m.n)]
+                m = StochasticMatrix(rows)
+            chains.append(m)
+        sure_first_unsure_return = 0
+        for m in chains:
+            for j in range(1, m.n + 1):
+                h = reach_vector(m, j)
+                for i in range(1, m.n + 1):
+                    sure_first_unsure_return += h[i - 1] == 1 > h[j - 1]
+                    for r in (1, 2, 3):
+                        rp = rth_passage_pgf(m, i, j, r)
+                        assert rp.mass == h[i - 1] * h[j - 1] ** (r - 1) == rp.pgf.eval(1)
+                        assert rp.defective == (rp.mass < 1)
+        assert sure_first_unsure_return >= 2
 
     def test_bad_order_rejected(self, paper_chain):
         with pytest.raises(ValueError, match="order"):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpt import (Polynomial, RationalFunction, StochasticMatrix, build_system,
-                 first_passage_table, solve_all_for_target, solve_pgf)
+                 first_passage_table, reach_vector, solve_all_for_target,
+                 solve_pair, solve_pgf)
 from conftest import fresh_rng, pgf_3state_closed_form, random_stochastic
 
 F = Fraction
@@ -203,6 +204,53 @@ class TestIntegerKernel:
             for i in range(1, m.n + 1):
                 series = pgfs[i].pgf.series(K + 1)
                 assert series[1:] == [table[k][i - 1] for k in range(K)]
+
+
+class TestPairSolve:
+    """solve_pair eliminates I - wA forward only; solve_all_for_target runs
+    Gauss-Jordan on the target's system.  They must agree exactly."""
+
+    @given(st.integers(1, 7), st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_solve_all_for_target(self, n, seed, absorbing):
+        rng = fresh_rng(seed)
+        m = random_stochastic(rng, n)
+        if absorbing:
+            a = rng.randrange(n)
+            rows = [list(row) for row in m.rows]
+            rows[a] = [F(int(k == a)) for k in range(n)]
+            m = StochasticMatrix(rows)
+        for j in range(1, n + 1):
+            every = solve_all_for_target(m, j)
+            for i in range(1, n + 1):
+                alone, none = solve_pair(m, i, j)
+                first, ret = solve_pair(m, i, j, with_return=True)
+                assert alone == first == every[i]
+                assert ret == every[j]
+                assert none is None or i == j
+
+    def test_reach_mass_is_pgf_at_one(self):
+        m = StochasticMatrix([[1, 0, 0], ["0.5", 0, "0.5"], [0, "0.25", "0.75"]])
+        for j in range(1, 4):
+            for i in range(1, 4):
+                res = solve_pair(m, i, j)[0]
+                assert res.reach_mass == res.pgf.eval(1) == reach_vector(m, j)[i - 1]
+                assert res.defective == (res.reach_mass < 1)
+
+    def test_forward_kernel_leaves_leading_minors(self):
+        from fpt.exact import _bareiss
+
+        def system():
+            return [[[2], [1], [1], [1]], [[1], [3], [2], []], [[1], [], [4], [2]]]
+
+        aug = system()
+        last, det = _bareiss(aug, forward=True)
+        assert aug[0] == system()[0]                     # never updated
+        assert aug[1][1:] == [[5], [3], [-1]]            # minors of rows 1, 2
+        assert det == aug[2][2] == [19] and aug[2][3] == [7]
+        assert last == [[1], [-1], [7]]
+        # Gauss-Jordan goes on to clear the rows above: x = (10, -8, 7) / 19
+        assert _bareiss(system()) == ([[10], [-8], [7]], [19])
 
 
 class TestClosedForm:
