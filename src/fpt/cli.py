@@ -97,24 +97,23 @@ def _load_matrix(args) -> StochasticMatrix:
     return m
 
 
-def _warn_defective(source: int, target: int, mass: Fraction, order: int = 1) -> None:
+def _warn_defective(defective: bool, source: int, target: int, mass: Fraction,
+                    order: int = 1) -> int:
+    """EXIT_OK, or EXIT_DEFECTIVE after a warning on stderr."""
+    if not defective:
+        return EXIT_OK
     times = "" if order == 1 else f" {order} times"
     print(f"warning: target {target} is reached{times} from {source} with "
-          f"probability {mass} < 1; the law is defective", file=sys.stderr)
-
-
-def _fmt(x: Fraction, decimal: bool) -> str:
-    return format_rational(x, decimal)
+          f"probability {format_rational(mass)} < 1; the law is defective",
+          file=sys.stderr)
+    return EXIT_DEFECTIVE
 
 
 def cmd_pgf(args) -> int:
     P = _load_matrix(args)
     res = solve_pgf(P, args.source, args.target)
     print(res.pgf.render(decimal=args.decimal))
-    if res.defective:
-        _warn_defective(args.source, args.target, res.reach_mass)
-        return EXIT_DEFECTIVE
-    return EXIT_OK
+    return _warn_defective(res.defective, args.source, args.target, res.reach_mass)
 
 
 def cmd_series(args) -> int:
@@ -124,11 +123,8 @@ def cmd_series(args) -> int:
     res = solve_pgf(P, args.source, args.target)
     coeffs = res.pgf.series(args.terms + 1)
     for k in range(1, args.terms + 1):
-        print(f"{k} {_fmt(coeffs[k], args.decimal)}")
-    if res.defective:
-        _warn_defective(args.source, args.target, res.reach_mass)
-        return EXIT_DEFECTIVE
-    return EXIT_OK
+        print(f"{k} {format_rational(coeffs[k], args.decimal)}")
+    return _warn_defective(res.defective, args.source, args.target, res.reach_mass)
 
 
 def cmd_moments(args) -> int:
@@ -138,9 +134,9 @@ def cmd_moments(args) -> int:
     print("# source mean second_factorial variance")
     for k in range(1, P.n + 1):
         if rep.finite[k - 1]:
-            print(f"{k} {_fmt(rep.means[k - 1], args.decimal)} "
-                  f"{_fmt(rep.second_factorial[k - 1], args.decimal)} "
-                  f"{_fmt(rep.variances[k - 1], args.decimal)}")
+            print(f"{k} {format_rational(rep.means[k - 1], args.decimal)} "
+                  f"{format_rational(rep.second_factorial[k - 1], args.decimal)} "
+                  f"{format_rational(rep.variances[k - 1], args.decimal)}")
         else:
             defective = True
             print(f"{k} inf inf inf")
@@ -160,11 +156,8 @@ def cmd_passage(args) -> int:
     rp = rth_passage_pgf(P, args.source, args.target, args.order)
     print(rp.pgf.render(decimal=args.decimal))
     for k, v in enumerate(rp.pmf(args.terms).values, start=1):
-        print(f"{k} {_fmt(v, args.decimal)}")
-    if rp.defective:
-        _warn_defective(args.source, args.target, rp.mass, args.order)
-        return EXIT_DEFECTIVE
-    return EXIT_OK
+        print(f"{k} {format_rational(v, args.decimal)}")
+    return _warn_defective(rp.defective, args.source, args.target, rp.mass, args.order)
 
 
 def random_stochastic_matrix(rng: random.Random, n: int) -> StochasticMatrix:
@@ -192,14 +185,19 @@ def check_matrix(P: StochasticMatrix, depth: int) -> Optional[str]:
             series = pgfs[i].pgf.series(depth + 1)
             for k in range(1, depth + 1):
                 if series[k] != table[k - 1][i - 1]:
-                    return (f"pair ({i},{j}) step {k}: solver {series[k]} "
-                            f"!= oracle {table[k - 1][i - 1]}")
+                    return (f"pair ({i},{j}) step {k}: solver "
+                            f"{format_rational(series[k])} != oracle "
+                            f"{format_rational(table[k - 1][i - 1])}")
     return None
 
 
 def cmd_check(args) -> int:
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    if args.max_states < 2:
+        raise ValueError("--max-states must be >= 2")
     if args.matrix:
         matrices = [(None, _load_matrix(args))]
     else:

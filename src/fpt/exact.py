@@ -11,6 +11,7 @@ safe without locking.
 """
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -290,16 +291,6 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator)
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.numerator * other.numerator,
                                 self.denominator * other.denominator)
@@ -373,16 +364,26 @@ def _pow10_exponent(den: int) -> Optional[int]:
     return max(a, b) if den == 1 else None
 
 
+def _digits(n: int) -> str:
+    """Decimal text of an integer of any size.  str() refuses integers longer
+    than sys.get_int_max_str_digits(), a limit that still guards parsing;
+    the decimal module has no such limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def decimal_string(x: Fraction) -> Optional[str]:
     """Exact decimal expansion, or None when it does not terminate."""
     k = _pow10_exponent(x.denominator)
     if k is None:
         return None
-    scaled = abs(x.numerator) * 10 ** k // x.denominator
+    digits = _digits(abs(x.numerator) * 10 ** k // x.denominator)
     sign = "-" if x < 0 else ""
     if k == 0:
-        return f"{sign}{scaled}"
-    digits = str(scaled).rjust(k + 1, "0")
+        return f"{sign}{digits}"
+    digits = digits.rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
@@ -392,15 +393,14 @@ def format_rational(x: Fraction, decimal: bool = False, annotate: bool = True) -
     never masquerades as exact.  annotate=False drops the parenthetical
     (used inside polynomial strings).
     """
-    if not decimal:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    s = decimal_string(x)
-    if s is not None:
-        return s
-    frac = f"{x.numerator}/{x.denominator}"
-    if annotate:
+    if decimal:
+        s = decimal_string(x)
+        if s is not None:
+            return s
+    elif x.denominator == 1:
+        return _digits(x.numerator)
+    frac = f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+    if decimal and annotate:
         return f"{frac} (~{float(x):.6g})"
     return frac
 
@@ -487,8 +487,8 @@ def _bareiss(aug: List[List[List[int]]],
              forward: bool = False) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free elimination over Z[w], in place (Bareiss 1968).
 
-    aug is an m-row matrix of trimmed integer coefficient lists, with at
-    least m columns.  The pivot at step k is the first row at or below k with
+    aug is an m-row matrix of trimmed integer coefficient lists, with m or
+    m + 1 columns.  The pivot at step k is the first row at or below k with
     a nonzero entry in column k.  Every division by the previous pivot is
     exact; it needs a nonzero constant term, which every nonzero pivot has on
     a constant system.  For I - wA row k always qualifies, because its pivot
@@ -496,14 +496,16 @@ def _bareiss(aug: List[List[List[int]]],
     left of the pivot are not updated: they hold only zeros and copies of
     the pivot.  Raises ArithmeticError on a singular system.
 
-    By default this is Gauss-Jordan on an m x (m+1) augmented system: every
-    row is updated at every step, and unknown a equals last_column[a] / det,
-    with det the determinant up to the sign of the row swaps.  With forward
-    set only the rows below each pivot are updated, which is all a caller
-    needing one unknown pays for: aug[k][k] is then the (k+1)-th leading
-    principal minor and aug[k][c], c > k, the same minor with column k
-    replaced by column c.  Either way the result is (last_column, det), det
-    being the last pivot.
+    By default this is Gauss-Jordan: every row is updated at every step.  On
+    an m x (m+1) augmented system unknown a equals last_column[a] / det, with
+    det the determinant up to the sign of the row swaps.  On an m x m matrix
+    the last step has nothing right of its pivot to update: unknown a < m-1
+    of the leading (m-1) x m system is last_column[a] / aug[m-2][m-2], and
+    det is the determinant of the whole matrix.  With forward set only the
+    rows below each pivot are updated, which is all a caller needing one
+    unknown pays for: aug[k][k] is then the (k+1)-th leading principal minor
+    and aug[k][c], c > k, the same minor with column k replaced by column c.
+    Either way the result is (last_column, det), det being the last pivot.
     """
     m = len(aug)
     prev = [1]

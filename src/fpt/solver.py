@@ -13,18 +13,19 @@ of I - wA, so its constant term is 1, no row is swapped, and the exact
 division by the previous pivot runs from the low-degree end with no integer
 division at all.
 
-One pair (solve_pair) takes one forward elimination of the n x n matrix
-I - wA, with the states ordered (others..., i, j).  Row i then holds
-det(I - wA_Q) on the diagonal and minus the Cramer numerator of psi_ij in
-column j, and the target row ends in det(I - wA).  Since
-det(I - zP) = det(I - zQ) * (1 - F_jj(z)), the return PGF is
-F_jj = (det_Q - det_M) / det_Q, from the same elimination.  Every source at
-once (solve_all_for_target) takes Gauss-Jordan on the target's
-system instead.  Coefficient k of each result is divided by D^k once, at
-the end, and the single quotient is reduced to a canonical rational
-function; exact.poly_gcd proves most such pairs coprime mod a prime before
-falling back to Euclid over Q.  The reach mass is that canonical PGF at
-z = 1, with no second solve.
+Both solvers eliminate the same n x n matrix I - wA, with the states
+ordered (others..., i, j) and the target last.  After the elimination the
+row of a source r holds det(I - wA_Q) on the diagonal and minus the Cramer
+numerator of psi_rj in the target column, and the target row ends in
+det(I - wA).  Since det(I - zP) = det(I - zQ) * (1 - F_jj(z)), the return
+PGF is F_jj = (det_Q - det_M) / det_Q, from the same elimination.  One pair
+(solve_pair) needs only a forward elimination, and the target row only when
+the return PGF is wanted; every source at once (solve_all_for_target) takes
+Gauss-Jordan on all n rows.  Coefficient k of each result is divided by D^k
+once, at the end, and the single quotient is reduced to a canonical
+rational function; exact.poly_gcd proves most such pairs coprime mod a
+prime before falling back to Euclid over Q.  The reach mass is that
+canonical PGF at z = 1, with no second solve.
 """
 from __future__ import annotations
 
@@ -85,12 +86,6 @@ def _to_z(cs: List[int], D: int) -> Polynomial:
     return Polynomial([Fraction(c, D ** k) for k, c in enumerate(cs)])
 
 
-def _integer_matrix(P: StochasticMatrix) -> Tuple[int, List[List[int]]]:
-    """D, the lcm of all entry denominators, and the integer matrix A = D*P."""
-    D = lcm(*(e.denominator for row in P.rows for e in row))
-    return D, [[e.numerator * (D // e.denominator) for e in row] for row in P.rows]
-
-
 def _passage(i: int, j: int, num: List[int], den: List[int], D: int) -> PassagePgf:
     """The canonical PGF num/den, mapped back from w to z, and its reach
     mass F(1).  A canonical PGF of a law of mass at most 1 has no pole at 1,
@@ -100,64 +95,55 @@ def _passage(i: int, j: int, num: List[int], den: List[int], D: int) -> PassageP
     return PassagePgf(source=i, target=j, pgf=pgf, reach_mass=h, defective=h < 1)
 
 
-def solve_all_for_target(P: StochasticMatrix, j: int) -> Dict[int, PassagePgf]:
-    """One elimination yields the passage PGFs from every source to j.
+def _eliminate(P: StochasticMatrix, i: int, j: int, full: bool, forward: bool
+               ) -> Tuple[int, List[int], List[List[List[int]]], List[int]]:
+    """Fraction-free elimination of I - wA with the states ordered
+    (others..., i, j); i = j gives (others..., j).
 
-    The elimination is Gauss-Jordan in w = z/D over the integers (see the
-    module docstring).  The return-time PGF (source = j) is recovered in the
-    same w domain by substituting the solved functions back into the
-    target's own one-step equation psi_jj = z*p_jj + sum_{k != j} p_jk * z *
-    psi_kj, which keeps the eliminated system at size n-1.  Each result is
-    mapped back to z once, at the end.
-    """
-    P.check_state(j)
-    jj = j - 1
-    D, A = _integer_matrix(P)
-    others = [k for k in range(P.n) if k != jj]
-    aug = [[_trim([int(r == c), -A[r][c]]) for c in others] + [_trim([0, A[r][jj]])]
-           for r in others]
-    nums, det = _bareiss(aug)
-    # w*(A_jj*det + sum_k A_jk*nums_k) is the return-time numerator over det
-    ret = [0] * (max(map(len, nums + [det])) + 1)
-    for weight, cs in zip([A[jj][jj]] + [A[jj][k] for k in others], [det] + nums):
-        if weight:
-            for i, c in enumerate(cs, 1):
-                ret[i] += weight * c
-    _trim(ret)
-    return {k + 1: _passage(k + 1, j, cs, det, D)
-            for k, cs in zip(others + [jj], nums + [ret])}
-
-
-def solve_pair(P: StochasticMatrix, i: int, j: int, with_return: bool = False
-               ) -> Tuple[PassagePgf, Optional[PassagePgf]]:
-    """The passage PGF from i to j by one forward elimination.
-
-    The states are ordered (others..., i, j) and I - wA is eliminated
-    forward only.  Row i then holds det(I - wA_Q) on the diagonal and minus
-    the Cramer numerator of psi_ij in column j; the target row, eliminated
-    only when the return PGF is wanted, ends in det(I - wA).  The second
-    result is the return PGF of j, det(I - zP) = det(I - zQ) * (1 - F_jj)
-    giving F_jj = (det_Q - det_M) / det_Q; it is None when with_return is
-    not set and i != j.  For i = j both results are the return PGF.
+    D is the lcm of all entry denominators and A = D*P.  The target row is
+    left out unless full is set.  Returns D, the order, the eliminated rows
+    and det(I - wA_Q), the pivot of the last row before the target's.
     """
     P.check_state(i)
     P.check_state(j)
     n, ii, jj = P.n, i - 1, j - 1
-    D, A = _integer_matrix(P)
+    D = lcm(*(e.denominator for row in P.rows for e in row))
+    A = [[e.numerator * (D // e.denominator) for e in row] for row in P.rows]
     order = [k for k in range(n) if k not in (ii, jj)] + [ii] * (ii != jj) + [jj]
-    full = with_return or ii == jj
     aug = [[_trim([int(r == c), -A[r][c]]) for c in order]
            for r in (order if full else order[:-1])]
-    _bareiss(aug, forward=True)
-    det_q = aug[n - 2][n - 2] if n > 1 else [1]
-    ret = None
-    if full:
-        det_m = aug[n - 1][n - 1]
-        num = [a - b for a, b in zip_longest(det_q, det_m, fillvalue=0)]
-        ret = _passage(j, j, _trim(num), det_q, D)
-    if ii == jj:
+    _bareiss(aug, forward=forward)
+    return D, order, aug, aug[n - 2][n - 2] if n > 1 else [1]
+
+
+def _return_pgf(j: int, det_q: List[int], det_m: List[int], D: int) -> PassagePgf:
+    """F_jj = (det_Q - det_M) / det_Q, from det(I - zP) = det(I - zQ) * (1 - F_jj)."""
+    num = [a - b for a, b in zip_longest(det_q, det_m, fillvalue=0)]
+    return _passage(j, j, _trim(num), det_q, D)
+
+
+def solve_all_for_target(P: StochasticMatrix, j: int) -> Dict[int, PassagePgf]:
+    """The passage PGFs from every source to j, by one Gauss-Jordan
+    elimination of all n rows of I - wA (see the module docstring)."""
+    D, order, aug, det_q = _eliminate(P, j, j, full=True, forward=False)
+    out = {k + 1: _passage(k + 1, j, [-c for c in row[-1]], det_q, D)
+           for k, row in zip(order, aug[:-1])}
+    out[j] = _return_pgf(j, det_q, aug[-1][-1], D)
+    return out
+
+
+def solve_pair(P: StochasticMatrix, i: int, j: int, with_return: bool = False
+               ) -> Tuple[PassagePgf, Optional[PassagePgf]]:
+    """The passage PGF from i to j by one forward elimination of I - wA
+    (see the module docstring), and the return PGF of j, which is None
+    unless with_return is set or i = j.  For i = j both are the return PGF.
+    """
+    full = with_return or i == j
+    D, _, aug, det_q = _eliminate(P, i, j, full=full, forward=True)
+    ret = _return_pgf(j, det_q, aug[-1][-1], D) if full else None
+    if i == j:
         return ret, ret
-    return _passage(i, j, [-c for c in aug[n - 2][n - 1]], det_q, D), ret
+    return _passage(i, j, [-c for c in aug[P.n - 2][-1]], det_q, D), ret
 
 
 def solve_pgf(P: StochasticMatrix, i: int, j: int) -> PassagePgf:

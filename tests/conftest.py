@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fpt import PassagePgf, Polynomial, RationalFunction, StochasticMatrix, reach_vector
+from fpt.cli import random_stochastic_matrix
 
 PAPER_CSV = ".2,.4,.4\n.3,.3,.4\n.5,.4,.1\n"
 
@@ -44,15 +45,12 @@ def random_polynomial(rng, max_degree=5, span=9):
 
 
 def random_stochastic(rng, n, allow_zero=True):
-    rows = []
-    for _ in range(n):
-        lo = 0 if allow_zero else 1
-        w = [rng.randint(lo, 6) for _ in range(n)]
-        if sum(w) == 0:
-            w[rng.randrange(n)] = 1
-        t = sum(w)
-        rows.append([Fraction(x, t) for x in w])
-    return StochasticMatrix(rows)
+    """The CLI's generator; allow_zero=False draws weights 1..6 instead of
+    0..6, so every entry is positive."""
+    if allow_zero:
+        return random_stochastic_matrix(rng, n)
+    rows = [[rng.randint(1, 6) for _ in range(n)] for _ in range(n)]
+    return StochasticMatrix([[Fraction(x, sum(w)) for x in w] for w in rows])
 
 
 def random_irreducible(rng, n):

@@ -12,6 +12,7 @@ from fpt import (RationalFunction, StochasticMatrix, first_passage_pmf_oracle,
                  first_passage_table, mean_first_passage, moment_report,
                  rth_passage_pmf, solve_all_for_target, solve_pgf,
                  variance_first_passage)
+from fpt.cli import random_stochastic_matrix
 from fpt.exact import Polynomial
 
 from conftest import PSI13_DEN, PSI13_NUM, PSI33_NUM, pgf_3state_closed_form
@@ -58,20 +59,9 @@ def test_criterion_4_golden_second_passage(paper_chain):
     _passed(4, "second-passage pmf indices 2-5 match exactly")
 
 
-def _random_stochastic(rng, n):
-    rows = []
-    for _ in range(n):
-        w = [rng.randint(0, 6) for _ in range(n)]
-        if sum(w) == 0:
-            w[rng.randrange(n)] = 1
-        t = sum(w)
-        rows.append([F(x, t) for x in w])
-    return StochasticMatrix(rows)
-
-
 def _corpus(count, seed=2024):
     rng = random.Random(seed)
-    return [_random_stochastic(rng, rng.randint(2, 6)) for _ in range(count)]
+    return [random_stochastic_matrix(rng, rng.randint(2, 6)) for _ in range(count)]
 
 
 def test_criterion_5_oracle_equivalence():
@@ -96,7 +86,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_closed_form_equivalence():
     rng = random.Random(99)
     for _ in range(100):
-        m = _random_stochastic(rng, 3)
+        m = random_stochastic_matrix(rng, 3)
         for i in range(1, 4):
             for j in range(1, 4):
                 if i != j:

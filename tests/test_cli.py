@@ -1,3 +1,6 @@
+import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,9 @@ import fpt.moments as moments
 import fpt.solver as solver
 from fpt import RationalFunction
 from fpt.exact import Polynomial
+from fpt.markov import first_passage_table, parse_matrix
 
-from conftest import PAPER_CSV
+from conftest import PAPER_CSV, rth_passage_oracle
 
 F = Fraction
 
@@ -23,6 +27,36 @@ def paper_file(tmp_path):
 
 def run(argv):
     return cli.main(argv)
+
+
+# A valid chain whose exact pmf outgrows Python's default limit of 4300
+# digits for int <-> str conversion within 100 steps.
+TINY_CSV = ("99999999999999999999999999999999999999999999999999/"
+            "100000000000000000000000000000000000000000000000000,1e-50\n"
+            "1/2,1/2\n")
+
+
+@contextmanager
+def int_digits_unlimited():
+    """Lift the int <-> str digit limit for the body only (a no-op on a
+    Python without the limit)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def tiny_file(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_CSV)
+    return str(path)
 
 
 class TestPgfCommand:
@@ -61,6 +95,17 @@ class TestSeriesCommand:
     def test_bad_terms_rejected(self, paper_file, capsys):
         assert run(["series", "--matrix", paper_file, "--from", "1", "--to", "3",
                     "--terms", "0"]) == cli.EXIT_PARSE_ERROR
+
+    def test_exact_values_past_the_int_digit_limit(self, tiny_file, capsys):
+        assert run(["series", "--matrix", tiny_file, "--from", "1", "--to", "2",
+                    "--terms", "100", "--exact"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 100
+        k, text = lines[-1].split()
+        assert k == "100" and len(text) > 4300
+        expected = first_passage_table(parse_matrix(TINY_CSV), 2, 100)[99][0]
+        with int_digits_unlimited():
+            assert Fraction(text) == expected
 
 
 class TestMomentsCommand:
@@ -131,6 +176,14 @@ class TestPassageCommand:
         assert run(["passage", "--matrix", str(path), "--from", "1", "--to", "2",
                     "--order", "1", "--terms", "2"]) == 0
 
+    def test_pgf_past_the_int_digit_limit(self, tiny_file, capsys):
+        assert run(["passage", "--matrix", tiny_file, "--from", "1", "--to", "2",
+                    "--order", "90", "--terms", "1", "--exact"]) == 0
+        pgf, pmf = capsys.readouterr().out.splitlines()
+        assert max(map(len, re.findall(r"\d+", pgf))) > 4300
+        oracle = rth_passage_oracle(parse_matrix(TINY_CSV), 1, 2, 90, 1)
+        assert pmf == f"1 {oracle[0]}"
+
     def test_bad_order(self, paper_file):
         assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",
                     "--order", "0"]) == cli.EXIT_PARSE_ERROR
@@ -145,6 +198,14 @@ class TestCheckCommand:
         assert run(["check", "--terms", "10", "--seed", "42", "--count", "5"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS 5")
+
+    @pytest.mark.parametrize("option, value", [
+        ("--count", "-3"), ("--count", "0"), ("--max-states", "1")])
+    def test_empty_corpus_rejected(self, option, value, capsys):
+        assert run(["check", option, value]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
 
     def test_seed_is_reproducible(self):
         rng_a = cli.random.Random(7)
