@@ -13,6 +13,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -28,6 +29,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INDEX_ERROR = 3
 EXIT_DEFECTIVE = 4
+
+# Caps on the size of one call, each mapped to exit 2.  One call at a cap,
+# with the other inputs at moderate sizes, takes under 10 s on one core
+# (README lists the calls measured).  The cost grows polynomially in n,
+# order and terms, so a call at several caps at once takes longer.
+MAX_STATES = 32
+# `check` eliminates the whole first-passage system once per target state,
+# so its chains are capped lower.
+MAX_CHECK_STATES = 12
+MAX_TERMS = 200
+MAX_ORDER = 500
 
 
 def _add_common(sub, matrix_required=True):
@@ -88,10 +100,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(args) -> StochasticMatrix:
+def _in_range(option: str, value: int, low: int, high: int, cap: str) -> None:
+    """Raise ValueError unless low <= value <= high; the message names the
+    option and, past the top, the cap's constant."""
+    if value < low:
+        raise ValueError(f"{option} must be >= {low}")
+    if value > high:
+        raise ValueError(f"{option} must be <= {high} ({cap})")
+
+
+def _load_matrix(args, max_states: int = MAX_STATES,
+                 cap: str = "MAX_STATES") -> StochasticMatrix:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         text = fh.read()
     m = parse_matrix(text, fmt=args.format, normalize_rows=args.normalize_rows)
+    if m.n > max_states:
+        raise ValueError(f"the matrix has {m.n} states; at most {max_states} "
+                         f"are allowed ({cap})")
     if m.row_normalized:
         print("note: rows were rescaled to sum to 1", file=sys.stderr)
     return m
@@ -117,8 +142,7 @@ def cmd_pgf(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
+    _in_range("--terms", args.terms, 1, MAX_TERMS, "MAX_TERMS")
     P = _load_matrix(args)
     res = solve_pgf(P, args.source, args.target)
     coeffs = res.pgf.series(args.terms + 1)
@@ -148,10 +172,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_passage(args) -> int:
-    if args.order < 1:
-        raise ValueError("--order must be >= 1")
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
+    _in_range("--order", args.order, 1, MAX_ORDER, "MAX_ORDER")
+    _in_range("--terms", args.terms, 1, MAX_TERMS, "MAX_TERMS")
     P = _load_matrix(args)
     rp = rth_passage_pgf(P, args.source, args.target, args.order)
     print(rp.pgf.render(decimal=args.decimal))
@@ -192,14 +214,12 @@ def check_matrix(P: StochasticMatrix, depth: int) -> Optional[str]:
 
 
 def cmd_check(args) -> int:
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
+    _in_range("--terms", args.terms, 1, MAX_TERMS, "MAX_TERMS")
     if args.count < 1:
         raise ValueError("--count must be >= 1")
-    if args.max_states < 2:
-        raise ValueError("--max-states must be >= 2")
+    _in_range("--max-states", args.max_states, 2, MAX_CHECK_STATES, "MAX_CHECK_STATES")
     if args.matrix:
-        matrices = [(None, _load_matrix(args))]
+        matrices = [(None, _load_matrix(args, MAX_CHECK_STATES, "MAX_CHECK_STATES"))]
     else:
         rng = random.Random(args.seed)
         matrices = []
@@ -225,8 +245,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses: built on the first call, then reused, since
+    building it costs more than many whole commands.  Parsing keeps no
+    state in the parser; each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except IndexError as exc:

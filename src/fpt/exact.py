@@ -11,7 +11,7 @@ safe without locking.
 """
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -30,19 +30,39 @@ def as_fraction(x: Coeff) -> Fraction:
     Fraction(0.4) would capture the binary approximation, which silently
     breaks exactness.  A decimal exponent beyond MAX_DECIMAL_EXPONENT in
     magnitude raises ValueError.
+
+    This is the one conversion from text.  Plain ASCII "d+", "d+/d+" and
+    "d+.d+" strings are read with int(); every other string (signs, spaces,
+    underscores, exponents, other digits) goes to Fraction(str), so the
+    accepted grammar, the values and the exceptions are those of the running
+    interpreter's Fraction.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass a string, int or Fraction")
     if isinstance(x, str):
-        _, e, exp = x.lower().rpartition("e")
-        digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
-        if e and digits.isdecimal() and (len(digits) > 6
-                                         or int(digits) > MAX_DECIMAL_EXPONENT):
-            raise ValueError(f"exponent of {x[:40]!r} exceeds "
-                             f"{MAX_DECIMAL_EXPONENT} in magnitude")
+        head, sep, tail = x.partition("/" if "/" in x else ".")
+        if x.isascii() and head.isdigit() and (tail.isdigit() or not sep):
+            if not sep:
+                return Fraction(int(head))
+            if sep == "/":
+                return Fraction(int(head), int(tail))
+            scale = 10 ** len(tail)
+            return Fraction(int(head) * scale + int(tail), scale)
+        _check_exponent(x)
+    elif isinstance(x, Fraction):
+        return x
+    elif isinstance(x, float):
+        raise TypeError("floats are not exact; pass a string, int or Fraction")
     return Fraction(x)
+
+
+def _check_exponent(x: str) -> None:
+    """Raise ValueError when the decimal exponent of x exceeds
+    MAX_DECIMAL_EXPONENT in magnitude; anything else passes."""
+    _, e, exp = x.lower().rpartition("e")
+    digits = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 6
+                                     or int(digits) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"exponent of {x[:40]!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
 
 
 class Polynomial:
@@ -118,7 +138,11 @@ class Polynomial:
     def _integers(self) -> Tuple[List[int], int]:
         """(integer coefficients, d) with self = integers / d, d the lcm of
         the coefficient denominators."""
-        d = lcm(*(c.denominator for c in self.coeffs))
+        # Star-args and tuple() get a list, not a generator: from a
+        # generator, CPython builds the tuple by resizing, and every such
+        # tuple ends up on the interpreter's tuple free lists, which only a
+        # full garbage collection empties.
+        d = lcm(*[c.denominator for c in self.coeffs])
         return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
     def __rmul__(self, other: Coeff) -> "Polynomial":
@@ -401,8 +425,26 @@ def format_rational(x: Fraction, decimal: bool = False, annotate: bool = True) -
         return _digits(x.numerator)
     frac = f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     if decimal and annotate:
-        return f"{frac} (~{float(x):.6g})"
+        return f"{frac} (~{_approx(x)})"
     return frac
+
+
+# Rounds to the 6 significant digits of the hint, at any exponent.
+_HINT = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _approx(x: Fraction) -> str:
+    """x to 6 significant digits as f"{float(x):.6g}" prints it.  A value
+    that a float cannot hold (past the largest float, or nonzero but
+    rounding to 0.0) is rounded by exact decimal division instead."""
+    try:
+        f = float(x)
+        if f or not x:
+            return f"{f:.6g}"
+    except OverflowError:
+        pass
+    q = _HINT.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return f"{q.normalize(_HINT):.6g}"
 
 
 def _poly_text(p: Polynomial, decimal: bool) -> str:
@@ -538,7 +580,7 @@ def solve_linear_system(rows: Sequence[Sequence[Fraction]],
     aug = []
     for row, b in zip(rows, rhs):
         eq = [*row, b]
-        d = lcm(*(e.denominator for e in eq))
+        d = lcm(*[e.denominator for e in eq])
         aug.append([_trim([e.numerator * (d // e.denominator)]) for e in eq])
     nums, det = _bareiss(aug)
     return [Fraction(num[0], det[0]) if num else Fraction(0) for num in nums]

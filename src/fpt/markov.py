@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .exact import as_fraction, format_rational, solve_linear_system
@@ -48,8 +49,9 @@ class StochasticMatrix:
 
     def __init__(self, rows: Iterable[Iterable], labels: Optional[Sequence[str]] = None,
                  normalize_rows: bool = False):
-        grid = [tuple(_entry(e, idx, jdx)
-                      for jdx, e in enumerate(_items(row, f"row {idx}"), start=1))
+        # lists into tuple() and lcm(): see Polynomial._integers
+        grid = [tuple([_entry(e, idx, jdx)
+                       for jdx, e in enumerate(_items(row, f"row {idx}"), start=1)])
                 for idx, row in enumerate(_items(rows, "rows"), start=1)]
         n = len(grid)
         if n == 0:
@@ -59,28 +61,26 @@ class StochasticMatrix:
                 raise ValueError(f"matrix is not square: row {idx} has "
                                  f"{len(row)} entries, expected {n}")
         # raw weights may exceed 1 when rows are being rescaled; after the
-        # rescaling every entry is automatically back in [0, 1]
+        # rescaling every entry is automatically back in [0, 1].  Both checks
+        # run on integers: a Fraction keeps a positive denominator, and with
+        # L the lcm of a row's denominators the row sums to
+        # sum(num * (L // den)) / L.
         for idx, row in enumerate(grid, start=1):
             for jdx, e in enumerate(row, start=1):
-                if e < 0 or (not normalize_rows and e > 1):
+                if e.numerator < 0 or (not normalize_rows and e.numerator > e.denominator):
                     raise ValueError(f"entry ({idx},{jdx}) = {e} outside [0, 1]")
         rescaled = False
-        if normalize_rows:
-            fixed = []
-            for idx, row in enumerate(grid, start=1):
-                s = sum(row)
-                if s == 0:
-                    raise ValueError(f"row {idx} sums to 0 and cannot be normalized")
-                if s != 1:
-                    rescaled = True
-                    row = tuple(e / s for e in row)
-                fixed.append(row)
-            grid = fixed
-        else:
-            for idx, row in enumerate(grid, start=1):
-                s = sum(row)
-                if s != 1:
+        for idx, row in enumerate(grid, start=1):
+            L = lcm(*[e.denominator for e in row])
+            total = sum(e.numerator * (L // e.denominator) for e in row)
+            if total != L:
+                s = Fraction(total, L)
+                if not normalize_rows:
                     raise ValueError(f"row {idx} sums to {s}, expected 1")
+                if total == 0:
+                    raise ValueError(f"row {idx} sums to 0 and cannot be normalized")
+                rescaled = True
+                grid[idx - 1] = tuple(e / s for e in row)
         if labels is not None:
             labels = tuple(str(x) for x in _items(labels, "labels"))
             if len(labels) != n:

@@ -121,7 +121,7 @@ def moment_report(P: StochasticMatrix, j: int) -> MomentReport:
     P.check_state(j)
     mu, s = _moments(P, j, reach_vector(P, j))
     var = [None if m is None else sk + m - m * m for m, sk in zip(mu, s)]
-    finite = tuple(m is not None for m in mu)
+    finite = tuple([m is not None for m in mu])
     return MomentReport(target=j, means=tuple(mu), second_factorial=tuple(s),
                         variances=tuple(var), finite=finite)
 

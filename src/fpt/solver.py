@@ -107,7 +107,7 @@ def _eliminate(P: StochasticMatrix, i: int, j: int, full: bool, forward: bool
     P.check_state(i)
     P.check_state(j)
     n, ii, jj = P.n, i - 1, j - 1
-    D = lcm(*(e.denominator for row in P.rows for e in row))
+    D = lcm(*[e.denominator for row in P.rows for e in row])
     A = [[e.numerator * (D // e.denominator) for e in row] for row in P.rows]
     order = [k for k in range(n) if k not in (ii, jj)] + [ii] * (ii != jj) + [jj]
     aug = [[_trim([int(r == c), -A[r][c]]) for c in order]

@@ -5,8 +5,25 @@ import pytest
 
 from fpt import PassagePgf, Polynomial, RationalFunction, StochasticMatrix, reach_vector
 from fpt.cli import random_stochastic_matrix
+from fpt.exact import _check_exponent
 
 PAPER_CSV = ".2,.4,.4\n.3,.3,.4\n.5,.4,.1\n"
+
+
+def reference_as_fraction(text):
+    """The reference for as_fraction on any string: the exponent cap, then
+    Fraction(str)."""
+    _check_exponent(text)
+    return Fraction(text)
+
+
+def outcome(convert, *args, **kw):
+    """convert(...), or the type and text of the ValueError or
+    ZeroDivisionError it raised."""
+    try:
+        return convert(*args, **kw)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
 
 # psi13 / psi23 numerator and denominator as displayed in the 3-state
 # worked example; NOTE they share the factor (1 + z/10), so the canonical

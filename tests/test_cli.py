@@ -126,6 +126,18 @@ class TestMomentsCommand:
         assert "infinite" in captured.err
 
 
+    def test_hint_of_a_value_beyond_the_float_range(self, tmp_path, capsys):
+        # the mean from 1 is 1/p_12 = 10^400/3, past the largest float
+        path = tmp_path / "huge.csv"
+        path.write_text("0." + "9" * 399 + "7,3e-400\n1/2,1/2\n")
+        assert run(["moments", "--matrix", str(path), "--to", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        hints = re.findall(r"\(~([^)]*)\)", lines[1])
+        assert hints[0] == "3.33333e+399"
+        assert len(hints) == 3
+
+
 class TestPassageCommand:
     def test_paper_second_passage(self, paper_file, capsys):
         assert run(["passage", "--matrix", paper_file, "--from", "1", "--to", "3",
@@ -267,6 +279,113 @@ class TestErrorsAndOptions:
         assert run(["series", "--matrix", str(path), "--from", "2",
                     "--to", "1", "--terms", "2"]) == 0
         assert capsys.readouterr().out == "1 1\n2 0\n"
+
+
+class TestCaps:
+    """An option or a matrix past its cap exits 2 before any work, with a
+    message that names the cap; the cap itself is accepted."""
+
+    @pytest.fixture
+    def one_state(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("1\n")
+        return str(path)
+
+    @staticmethod
+    def identity_file(tmp_path, n):
+        path = tmp_path / f"identity{n}.csv"
+        path.write_text("".join(",".join("1" if i == k else "0" for k in range(n)) + "\n"
+                                for i in range(n)))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["series", "--from", "1", "--to", "1", "--terms"], "MAX_TERMS"),
+        (["passage", "--from", "1", "--to", "1", "--terms"], "MAX_TERMS"),
+        (["passage", "--from", "1", "--to", "1", "--order"], "MAX_ORDER"),
+        (["check", "--terms"], "MAX_TERMS"),
+    ])
+    def test_option_past_its_cap(self, one_state, capsys, argv, cap):
+        limit = getattr(cli, cap)
+        assert run(argv[:1] + ["--matrix", one_state] + argv[1:] + [str(limit)]) \
+            in (cli.EXIT_OK, cli.EXIT_DEFECTIVE)
+        capsys.readouterr()
+        assert run(argv[:1] + ["--matrix", one_state] + argv[1:] + [str(limit + 1)]) \
+            == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[-1]} must be <= {limit} ({cap})" in captured.err
+
+    def test_check_max_states_past_its_cap(self, capsys):
+        assert run(["check", "--max-states", str(cli.MAX_CHECK_STATES + 1)]) \
+            == cli.EXIT_PARSE_ERROR
+        assert "MAX_CHECK_STATES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cap", [
+        (["pgf", "--from", "1", "--to", "2"], "MAX_STATES"),
+        (["check", "--terms", "1"], "MAX_CHECK_STATES"),
+    ])
+    def test_matrix_past_its_cap(self, tmp_path, capsys, command, cap):
+        limit = getattr(cli, cap)
+        ok = run([command[0], "--matrix", self.identity_file(tmp_path, limit)] + command[1:])
+        assert ok in (cli.EXIT_OK, cli.EXIT_DEFECTIVE)
+        capsys.readouterr()
+        assert run([command[0], "--matrix", self.identity_file(tmp_path, limit + 1)]
+                   + command[1:]) == cli.EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the matrix has {limit + 1} states; at most {limit} are allowed ({cap})" \
+            in captured.err
+
+
+class TestParserReuse:
+    """main() parses with one parser per process, and each call still starts
+    from a fresh namespace."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_parser_is_built_once(self, builds, paper_file, capsys):
+        for _ in range(3):
+            assert run(["pgf", "--matrix", paper_file, "--from", "1", "--to", "3"]) == 0
+        assert len(builds) == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_exact_does_not_carry_over(self, builds, paper_file, capsys):
+        argv = ["pgf", "--matrix", paper_file, "--from", "3", "--to", "3"]
+        assert run(argv + ["--exact"]) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "(1/10*z + 3/10*z^2) / (1 - 3/5*z)", "(0.1*z + 0.3*z^2) / (1 - 0.6*z)"]
+        assert len(builds) == 1
+
+    def test_normalize_rows_does_not_carry_over(self, builds, tmp_path, capsys):
+        path = tmp_path / "w.csv"
+        path.write_text("0.5,0.25\n0.5,0.5\n")
+        argv = ["pgf", "--matrix", str(path), "--from", "1", "--to", "2"]
+        assert run(argv + ["--normalize-rows"]) == 0
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_PARSE_ERROR
+        assert "row 1 sums to 3/4, expected 1" in capsys.readouterr().err
+        assert len(builds) == 1
+
+    def test_usage_error_does_not_break_the_next_call(self, builds, paper_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["pgf", "--matrix", paper_file, "--from", "x", "--to", "3"])
+        assert exc.value.code == 2
+        assert run(["pgf", "--matrix", paper_file, "--from", "1", "--to", "3"]) == 0
+        assert capsys.readouterr().out == "(0.4*z) / (1 - 0.6*z)\n"
+        assert len(builds) == 1
 
 
 class TestBadMatrixInput:

@@ -9,8 +9,8 @@ from fpt import (Polynomial, RationalFunction, as_fraction, exact_div,
 from fpt.exact import (GCD_PRIME, MAX_DECIMAL_EXPONENT, ONE, Z, ZERO,
                        decimal_string, solve_linear_system)
 
-from conftest import (PSI13_DEN, PSI13_NUM, fresh_rng, random_fraction,
-                      random_polynomial, random_stochastic)
+from conftest import (PSI13_DEN, PSI13_NUM, fresh_rng, outcome, random_fraction,
+                      random_polynomial, random_stochastic, reference_as_fraction)
 
 F = Fraction
 
@@ -40,6 +40,37 @@ class TestFractionCoercion:
                      "1e+1_000_000", "1e" + "9" * 50):
             with pytest.raises(ValueError, match="exponent"):
                 as_fraction(text)
+
+
+digit_runs = st.text("0123456789", min_size=1, max_size=6)
+# plain ints, p/q and a.b, with signs, spaces, underscores, exponents and
+# non-ASCII digits mixed in; the fast path must take only the plain forms
+entry_texts = st.one_of(
+    digit_runs,
+    st.tuples(digit_runs, st.sampled_from("./"), digit_runs).map("".join),
+    st.from_regex(r"\A\s?[+-]?[0-9_٣१²]{0,4}(\s?[./]\s?[0-9_٣]{0,4})?"
+                  r"([eE][+-]?[0-9_]{1,7})?\s?\Z"),
+    st.text(max_size=6),
+)
+
+
+class TestFastPathAgainstFraction:
+    @settings(max_examples=600, deadline=None)
+    @given(entry_texts)
+    @example("1/0")
+    @example("0/0")
+    @example("")
+    @example("1_000/3")
+    @example("2 / 3")
+    @example("٣/4")
+    @example("²")
+    @example("12.")
+    @example(".5")
+    @example("1" * 5000)
+    @example("1/" + "3" * 5000)
+    @example("0." + "3" * 5000)
+    def test_same_value_or_same_error(self, text):
+        assert outcome(as_fraction, text) == outcome(reference_as_fraction, text)
 
 
 class TestPolynomial:
@@ -344,6 +375,26 @@ class TestRendering:
         assert format_rational(F(1, 3), decimal=True) == "1/3 (~0.333333)"
         assert format_rational(F(1, 3), decimal=False) == "1/3"
         assert format_rational(F(5, 2), decimal=True) == "2.5"
+
+    def test_hint_beyond_the_float_range(self):
+        big = F(10 ** 400, 3)
+        assert format_rational(big, decimal=True).endswith("/3 (~3.33333e+399)")
+        assert format_rational(-big, decimal=True).endswith("/3 (~-3.33333e+399)")
+        assert format_rational(F(1, 3 * 10 ** 400), decimal=True).endswith(" (~3.33333e-401)")
+        # 9.999999e+400 + 1/3 rounds up to one significant digit
+        assert format_rational(F(29999997 * 10 ** 394 + 1, 3), decimal=True) \
+            .endswith("/3 (~1e+401)")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10 ** 320, 10 ** 320), st.integers(1, 10 ** 320))
+    def test_hint_matches_float_where_a_float_holds_the_value(self, p, q):
+        x = F(p, q)
+        try:
+            f = float(x)
+        except OverflowError:
+            return
+        if decimal_string(x) is None and f != 0:
+            assert format_rational(x, decimal=True).endswith(f" (~{f:.6g})")
 
 
 class TestLinearSolve:

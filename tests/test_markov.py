@@ -1,13 +1,17 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpt import (StochasticMatrix, first_passage_pmf_oracle,
                  first_passage_table, parse_matrix, reach_probability,
                  reach_vector, render_matrix, solve_pgf)
 
-from conftest import PAPER_CSV, fresh_rng, random_stochastic
+from conftest import (PAPER_CSV, fresh_rng, outcome, random_stochastic,
+                      reference_as_fraction)
 
 F = Fraction
 
@@ -84,6 +88,92 @@ class TestParsing:
     def test_label_count_checked(self):
         with pytest.raises(ValueError, match="labels"):
             parse_matrix('{"rows": [[1]], "labels": ["a", "b"]}')
+
+
+def reference_matrix(cells, normalize_rows=False, first=()):
+    """(rows, row_normalized) of a square grid of entry strings: entries
+    read by Fraction(str), ranges and row sums checked in Fraction
+    arithmetic.  The reference for StochasticMatrix's integer checks.  The
+    entries in `first` are read before all others, as JSON numbers are
+    while the text is loaded."""
+    for c in first:
+        reference_as_fraction(c)
+    grid = [tuple(reference_as_fraction(c) for c in row) for row in cells]
+    for idx, row in enumerate(grid, start=1):
+        for jdx, e in enumerate(row, start=1):
+            if e < 0 or (not normalize_rows and e > 1):
+                raise ValueError(f"entry ({idx},{jdx}) = {e} outside [0, 1]")
+    rescaled = False
+    for idx, row in enumerate(grid, start=1):
+        s = sum(row)
+        if normalize_rows and s == 0:
+            raise ValueError(f"row {idx} sums to 0 and cannot be normalized")
+        if s != 1:
+            if not normalize_rows:
+                raise ValueError(f"row {idx} sums to {s}, expected 1")
+            rescaled = True
+            grid[idx - 1] = tuple(e / s for e in row)
+    return tuple(grid), rescaled
+
+
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def matrix_text(cells, fmt, bare):
+    """(text, numbers): cells as csv, whitespace or json text, and the
+    entries written as JSON numbers.  json writes an entry as a number
+    where it is one and bare[i][j] is set, else as a string."""
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in cells), []
+    if fmt == "whitespace":
+        return "".join(" ".join(row) + "\n" for row in cells), []
+    numbers = [c for row, brow in zip(cells, bare) for c, b in zip(row, brow)
+               if b and JSON_NUMBER.fullmatch(c)]
+    return "[" + ", ".join(
+        "[" + ", ".join(c if b and JSON_NUMBER.fullmatch(c) else json.dumps(c)
+                        for c, b in zip(row, brow)) + "]"
+        for row, brow in zip(cells, bare)) + "]", numbers
+
+
+@st.composite
+def entry_grids(draw):
+    """Square grids of entry strings: rows of weights w/t that sum to 1,
+    spelled as p/q, as decimals or scaled, mixed with arbitrary entries."""
+    n = draw(st.integers(1, 3))
+    odd = st.from_regex(r"\A[+-]?[0-9٣_]{1,3}([./][0-9_]{0,3})?([eE][+-]?[0-9]{1,4})?\Z")
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        total = sum(weights) or 1
+        row = []
+        for w in weights:
+            k = draw(st.sampled_from([1, 1, 2, 10]))
+            spelled = draw(st.sampled_from(["frac", "decimal", "odd"]))
+            x = Fraction(w, total)
+            if spelled == "decimal" and 10 ** 6 % x.denominator == 0:
+                q = x.numerator * 10 ** 6 // x.denominator
+                row.append(f"{q // 10 ** 6}.{q % 10 ** 6:06d}")
+            elif spelled == "odd" and draw(st.booleans()):
+                row.append(draw(odd))
+            else:
+                row.append(f"{w * k}/{total * k}")
+        rows.append(row)
+    return rows
+
+
+class TestIntegerValidationAgainstFraction:
+    @settings(max_examples=300, deadline=None)
+    @given(entry_grids(), st.sampled_from(["csv", "whitespace", "json"]),
+           st.booleans(), st.data())
+    def test_same_matrix_or_same_error(self, cells, fmt, normalize_rows, data):
+        bare = [[data.draw(st.booleans()) for _ in row] for row in cells]
+        text, numbers = matrix_text(cells, fmt, bare)
+
+        def parsed():
+            m = parse_matrix(text, fmt=fmt, normalize_rows=normalize_rows)
+            return m.rows, m.row_normalized
+
+        assert outcome(parsed) == outcome(reference_matrix, cells, normalize_rows, numbers)
 
 
 class TestRoundTrip:
